@@ -22,8 +22,19 @@ from .errors import (
     InsufficientSharesError,
     ParameterError,
 )
-from .fields import FieldSpec, array_matmul, solve_linear_int, vandermonde_int
+from .fields import (FieldSpec, array_matmul, matrix_inverse, symbol_dtype,
+                     vandermonde_int)
 from .randomness import as_symbol_source
+
+
+def default_nodes(field: FieldSpec, length: int) -> tuple[int, ...]:
+    """Evaluation points 1..L, one nonzero field element per encoder."""
+    if length >= field.order:
+        other = "gf256 or " if length < 256 else ""
+        raise ParameterError(
+            f"{field} supports at most {field.order - 1} encoders; "
+            f"use {other}a prime above {length}")
+    return tuple(range(1, length + 1))
 
 
 @dataclass(frozen=True)
@@ -44,7 +55,7 @@ class CosetCodeSpec:
                 f"({self.length}, {self.wiretap}, {self.threshold})")
         if not self.nodes:
             object.__setattr__(self, "nodes",
-                               tuple(range(1, self.length + 1)))
+                               default_nodes(self.field, self.length))
         if len(self.nodes) != self.length:
             raise ParameterError("need one node per encoder")
         if len(set(self.nodes)) != self.length:
@@ -69,20 +80,23 @@ def generator_matrix(spec: CosetCodeSpec) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
+def _generator_array(spec: CosetCodeSpec) -> np.ndarray:
+    gen = np.array(generator_matrix(spec),
+                   dtype=symbol_dtype(spec.field.order))
+    gen.flags.writeable = False
+    return gen
+
+
+@lru_cache(maxsize=None)
 def _decode_solver(spec: CosetCodeSpec, ids: tuple[int, ...]):
     """Inverse of the square submatrix for the first `threshold` of ids,
     plus the generator rows of any extra ids for consistency checking."""
-    gen = generator_matrix(spec)
-    lead = ids[:spec.threshold]
-    a = [list(gen[i - 1]) for i in lead]
+    gen = _generator_array(spec)
+    rows = [i - 1 for i in ids]
     m = spec.threshold
-    cols = []
-    for j in range(m):
-        e = [0] * m
-        e[j] = 1
-        cols.append(solve_linear_int(spec.field, a, e))
-    inv = tuple(tuple(cols[j][i] for j in range(m)) for i in range(m))
-    extra = tuple(gen[i - 1] for i in ids[m:])
+    inv = matrix_inverse(spec.field, gen[rows[:m]])
+    extra = gen[rows[m:]]
+    inv.flags.writeable = False
     return inv, extra
 
 
@@ -109,17 +123,10 @@ def encode(spec: CosetCodeSpec, message, key) -> tuple[int, ...]:
             f"message block must have {spec.message_symbols} symbols")
     if len(k) != spec.key_symbols:
         raise ParameterError(f"key block must have {spec.key_symbols} symbols")
-    x = k + msg
-    f = spec.field
-    for v in x:
-        f._check(v)
-    out = []
-    for row in generator_matrix(spec):
-        acc = 0
-        for c, v in zip(row, x):
-            acc = f.add(acc, f.mul(c, v))
-        out.append(acc)
-    return tuple(out)
+    for v in k + msg:
+        spec.field._check(v)
+    return tuple(encode_blocks(spec, np.array([msg]), np.array([k]))[0]
+                 .tolist())
 
 
 def decode(spec: CosetCodeSpec, observed) -> tuple[int, ...]:
@@ -130,62 +137,44 @@ def decode(spec: CosetCodeSpec, observed) -> tuple[int, ...]:
     """
     pairs = [(int(i), int(v)) for i, v in observed]
     ids = _check_ids(spec, [i for i, _ in pairs])
-    f = spec.field
-    vals = [v for _, v in pairs]
-    for v in vals:
-        f._check(v)
-    inv, extra = _decode_solver(spec, ids)
-    m = spec.threshold
-    x = []
-    for row in inv:
-        acc = 0
-        for c, v in zip(row, vals[:m]):
-            acc = f.add(acc, f.mul(c, v))
-        x.append(acc)
-    for row, val in zip(extra, vals[m:]):
-        acc = 0
-        for c, v in zip(row, x):
-            acc = f.add(acc, f.mul(c, v))
-        if acc != val:
-            raise DecodeFailureError(
-                "shares are inconsistent with any single codeword")
-    return tuple(x[spec.wiretap:])
+    vals = [spec.field._check(v) for _, v in pairs]
+    return tuple(decode_blocks(spec, ids, np.array([vals]))[0].tolist())
 
 
 def keygen(spec: CosetCodeSpec, source=None) -> tuple[int, ...]:
     """Fresh uniform key symbols for one block."""
     src = as_symbol_source(source)
-    return tuple(src.draw(spec.field.order, spec.key_symbols))
+    return tuple(int(v) for v in src.draw(spec.field.order, spec.key_symbols))
 
 
 # --- bulk block paths ---------------------------------------------------------
 
 def encode_blocks(spec: CosetCodeSpec, messages: np.ndarray,
                   keys: np.ndarray) -> np.ndarray:
-    """Vectorized encode: (n, msg) and (n, key) arrays to (n, L) shares."""
-    messages = np.asarray(messages, dtype=np.int64)
-    keys = np.asarray(keys, dtype=np.int64)
+    """Vectorized encode: (n, msg) and (n, key) arrays to (n, L) shares.
+
+    The result is a transposed view: column l is a contiguous array.
+    """
+    messages = np.asarray(messages)
+    keys = np.asarray(keys)
     n = messages.shape[0]
     if messages.shape != (n, spec.message_symbols) or keys.shape != (n, spec.key_symbols):
         raise ParameterError("block arrays have the wrong shape")
-    x = np.concatenate([keys, messages], axis=1)
-    gen = np.array(generator_matrix(spec), dtype=np.int64)
-    return array_matmul(spec.field, x, gen.T)
+    x = np.concatenate([keys.T, messages.T]).T
+    return array_matmul(spec.field, x, _generator_array(spec).T)
 
 
 def decode_blocks(spec: CosetCodeSpec, ids, shares: np.ndarray) -> np.ndarray:
     """Vectorized decode of (n, len(ids)) share columns back to messages."""
     ids = _check_ids(spec, ids)
-    shares = np.asarray(shares, dtype=np.int64)
+    shares = np.asarray(shares)
     if shares.ndim != 2 or shares.shape[1] != len(ids):
         raise ParameterError("share array does not match the id list")
     inv, extra = _decode_solver(spec, ids)
     m = spec.threshold
-    inv_np = np.array(inv, dtype=np.int64)
-    x = array_matmul(spec.field, shares[:, :m], inv_np.T)
-    if extra:
-        extra_np = np.array(extra, dtype=np.int64)
-        redo = array_matmul(spec.field, x, extra_np.T)
+    x = array_matmul(spec.field, shares[:, :m], inv.T)
+    if len(extra):
+        redo = array_matmul(spec.field, x, extra.T)
         if not np.array_equal(redo, shares[:, m:]):
             raise DecodeFailureError(
                 "shares are inconsistent with any single codeword")

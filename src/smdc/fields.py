@@ -180,11 +180,15 @@ def _binary8_tables(poly: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def _binary8_mul_table(poly: int) -> np.ndarray:
-    spec = FieldSpec(BINARY8, poly)
-    table = np.zeros((256, 256), dtype=np.uint8)
-    for a in range(1, 256):
-        for b in range(1, 256):
-            table[a, b] = spec.mul(a, b)
+    """256 x 256 product table; row g is the split-table row for
+    multiplying by the constant g."""
+    exp, log = _binary8_tables(poly)
+    exp = np.array(exp, dtype=np.uint8)
+    log = np.array(log, dtype=np.intp)
+    table = exp[log[:, None] + log[None, :]]
+    table[0, :] = 0
+    table[:, 0] = 0
+    table.flags.writeable = False
     return table
 
 
@@ -362,13 +366,11 @@ def vandermonde_int(spec: FieldSpec, nodes: Sequence[int], width: int) -> list[l
         raise ParameterError("vandermonde nodes must be distinct")
     if width < 0:
         raise ParameterError("width must be nonnegative")
-    out = []
-    for v in vals:
-        row = [1]
-        for _ in range(width - 1):
-            row.append(spec.mul(row[-1], v))
-        out.append(row[:width])
-    return out
+    column = np.array(vals, dtype=np.int64)
+    out = np.ones((len(vals), width), dtype=np.int64)
+    for j in range(1, width):
+        out[:, j] = _array_mul(spec, out[:, j - 1], column)
+    return out.tolist()
 
 
 def vandermonde(nodes, width: int, spec: FieldSpec | None = None) -> list[list[FieldElement]]:
@@ -389,15 +391,94 @@ def array_elements(spec: FieldSpec, data: Iterable[int]) -> np.ndarray:
     return arr
 
 
-def array_matmul(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact field matrix product of int arrays (shapes (n,k) x (k,m))."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+def symbol_dtype(order: int) -> type:
+    """Narrowest unsigned dtype that holds every element of a field."""
+    return np.uint8 if order <= 256 else np.uint16
+
+
+def as_symbols(spec: FieldSpec, values) -> np.ndarray:
+    """A 1-D array of field elements in the field's symbol dtype.
+
+    Bytes-like input is read one symbol per byte without copying; any
+    other sequence is range-checked in one pass.
+    """
+    if isinstance(values, (bytes, bytearray, memoryview)):
+        arr = np.frombuffer(values, dtype=np.uint8)
+    else:
+        arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise ParameterError("expected a flat sequence of symbols")
+    if arr.size:
+        lo, hi = arr.min(), arr.max()
+        if lo < 0 or hi >= spec.order:
+            raise ParameterError(
+                f"{lo if lo < 0 else hi} is not an element of {spec}")
+    return arr.astype(symbol_dtype(spec.order), copy=False)
+
+
+def _array_mul(spec: FieldSpec, x, y) -> np.ndarray:
+    """Elementwise field product of broadcastable int64 arrays."""
     if spec.kind == PRIME:
-        # values < 2^16 and inner dims are small: int64 never overflows here
-        return (a @ b) % spec.modulus
-    table = _binary8_mul_table(spec.modulus)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for j in range(a.shape[1]):
-        out ^= table[a[:, j][:, None], b[j, :][None, :]].astype(np.int64)
-    return out
+        return (x * y) % spec.modulus
+    return _binary8_mul_table(spec.modulus)[x, y].astype(np.int64)
+
+
+def matrix_inverse(spec: FieldSpec, a) -> np.ndarray:
+    """Inverse of a square matrix by one Gauss-Jordan elimination on
+    [A | I], each pivot step one vectorized row operation.
+
+    Raises SingularMatrixError when the matrix has no inverse.
+    """
+    m = np.array(a, dtype=np.int64)
+    n = m.shape[0]
+    if m.ndim != 2 or m.shape[1] != n:
+        raise ParameterError("matrix_inverse expects a square matrix")
+    m = np.concatenate([m, np.eye(n, dtype=np.int64)], axis=1)
+    for col in range(n):
+        nonzero = np.flatnonzero(m[col:, col])
+        if nonzero.size == 0:
+            raise SingularMatrixError(f"matrix is singular at column {col}")
+        pivot = col + int(nonzero[0])
+        m[[col, pivot]] = m[[pivot, col]]
+        m[col] = _array_mul(spec, m[col], spec.inv(int(m[col, col])))
+        factors = m[:, col].copy()
+        factors[col] = 0
+        step = _array_mul(spec, factors[:, None], m[col][None, :])
+        if spec.kind == PRIME:
+            m = (m - step) % spec.modulus
+        else:
+            m ^= step
+    return m[:, n:].astype(symbol_dtype(spec.order))
+
+
+def array_matmul(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact field matrix product of (n, k) and (k, m) integer arrays.
+
+    `b` is a small matrix of constants.  The product is built as its
+    (m, n) transpose, one inner index at a time, so every step streams a
+    contiguous row of `a.T`: over GF(2^8) each step looks its row up in
+    the product-table rows of that inner index's constants (the
+    split-table method), over GF(p) it accumulates in the narrowest
+    unsigned dtype that holds the sum of products.  Returns an (n, m)
+    view in the field's symbol dtype.
+    """
+    dtype = symbol_dtype(spec.order)
+    rows = np.asarray(a).T.astype(dtype, copy=False)
+    b = np.asarray(b, dtype=np.int64)
+    inner, n = rows.shape
+    if b.shape[0] != inner:
+        raise ParameterError("array_matmul shapes do not align")
+    if spec.kind == PRIME:
+        p = spec.modulus
+        wide = next(t for t in (np.uint16, np.uint32, np.uint64)
+                    if (p - 1) ** 2 * inner <= np.iinfo(t).max)
+        acc = np.zeros((b.shape[1], n), dtype=wide)
+        for j in range(inner):
+            acc += b[j].astype(wide)[:, None] * rows[j]
+        out = (acc % p).astype(dtype)
+    else:
+        table = _binary8_mul_table(spec.modulus)
+        out = np.zeros((b.shape[1], n), dtype=dtype)
+        for j in range(inner):
+            out ^= np.take(table[b[j]], rows[j], axis=1)
+    return out.T

@@ -14,17 +14,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+import numpy as np
+
+from .coset import default_nodes
 from .errors import InsufficientSharesError, ParameterError
 from .fields import FieldSpec
 from .randomness import as_symbol_source
 from .single_level import (
     BundleLayout,
     SsdcParams,
-    decode as decode_single,
-    encode_with_layout,
+    decode_arrays as decode_single,
+    encode_arrays as encode_single,
     rate_layout,
     symmetric_layout,
 )
+# Not called here: levels are encoded by the array core above.
+# perfbench/spans.py traces this name in this module.
+from .single_level import encode_with_layout  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -53,7 +59,7 @@ class SmdcParams:
             raise ParameterError("source lengths cannot be negative")
         if not self.nodes:
             object.__setattr__(self, "nodes",
-                               tuple(range(1, self.length + 1)))
+                               default_nodes(self.field, self.length))
 
     @property
     def source_count(self) -> int:
@@ -77,10 +83,12 @@ class SmdcLayout:
 
 @dataclass(frozen=True)
 class SmdcShareBundle:
-    """payloads[encoder] holds one symbol tuple per source, in order."""
+    """payloads[encoder] holds one symbol sequence per source, in order:
+    tuples from encode, arrays from encode_arrays, bytes from share
+    files."""
 
     layout: SmdcLayout
-    payloads: Mapping[int, tuple[tuple[int, ...], ...]]
+    payloads: Mapping[int, tuple[Sequence[int], ...]]
 
 
 def plan(params: SmdcParams, rates=None) -> SmdcLayout:
@@ -99,15 +107,16 @@ def plan(params: SmdcParams, rates=None) -> SmdcLayout:
     return SmdcLayout(params, tuple(levels))
 
 
-def encode(params: SmdcParams, sources: Sequence[Sequence[int]],
-           source=None, rates=None) -> SmdcShareBundle:
-    """Encode all K sources; keys are drawn sequentially in source order."""
+def encode_arrays(params: SmdcParams, sources: Sequence[Sequence[int]],
+                  source=None, rates=None) -> SmdcShareBundle:
+    """Encode all K sources; keys are drawn sequentially in source order.
+    Payloads are symbol arrays."""
     if len(sources) != params.source_count:
         raise ParameterError(f"need {params.source_count} sources, "
                              f"got {len(sources)}")
     layout = plan(params, rates)
     src = as_symbol_source(source)
-    per_level = [encode_with_layout(layout.levels[k], list(sources[k]), src)
+    per_level = [encode_single(layout.levels[k], sources[k], src)
                  for k in range(params.source_count)]
     payloads = {
         l: tuple(bundle.payloads[l] for bundle in per_level)
@@ -116,8 +125,17 @@ def encode(params: SmdcParams, sources: Sequence[Sequence[int]],
     return SmdcShareBundle(layout, payloads)
 
 
-def decode(bundle: SmdcShareBundle, subset: Sequence[int] | None = None
-           ) -> tuple[tuple[int, ...], ...]:
+def encode(params: SmdcParams, sources: Sequence[Sequence[int]],
+           source=None, rates=None) -> SmdcShareBundle:
+    """encode_arrays with every payload as a tuple of ints."""
+    bundle = encode_arrays(params, sources, source, rates)
+    return SmdcShareBundle(bundle.layout, {
+        l: tuple(tuple(p.tolist()) for p in parts)
+        for l, parts in bundle.payloads.items()})
+
+
+def decode_arrays(bundle: SmdcShareBundle, subset: Sequence[int] | None = None
+                  ) -> tuple[np.ndarray, ...]:
     """Sources 1..(|U| - N) from the encoder subset U (all by default)."""
     layout = bundle.layout
     params = layout.params
@@ -137,6 +155,12 @@ def decode(bundle: SmdcShareBundle, subset: Sequence[int] | None = None
         observed = {l: bundle.payloads[l][k - 1] for l in present}
         out.append(decode_single(layout.levels[k - 1], observed))
     return tuple(out)
+
+
+def decode(bundle: SmdcShareBundle, subset: Sequence[int] | None = None
+           ) -> tuple[tuple[int, ...], ...]:
+    """decode_arrays with every source as a tuple of ints."""
+    return tuple(tuple(a.tolist()) for a in decode_arrays(bundle, subset))
 
 
 def rate_of(bundle: SmdcShareBundle, normalization=1) -> tuple[Fraction, ...]:

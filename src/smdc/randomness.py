@@ -1,29 +1,56 @@
 """Symbol sources for key material.
 
 Encoders only ever ask for "n uniform symbols from {0..q-1}", so the
-interface is a single draw method.  Unseeded encoding draws from the
-operating system entropy pool; the numpy generator gives seeded
-determinism for tests and the CLI; SequenceSymbolSource replays a preset
-list, which the exhaustive verifier uses to enumerate key outcomes.
+interface is a single draw method, which returns an array in the
+field's symbol dtype.  Unseeded encoding draws from the operating system
+entropy pool; the numpy generator gives seeded determinism for tests and
+the CLI; SequenceSymbolSource replays a preset list, which the exhaustive
+verifier uses to enumerate key outcomes.
 """
 
 from __future__ import annotations
 
-import secrets
+import os
 
 import numpy as np
 
 from .errors import ParameterError
+from .fields import symbol_dtype
+
+
+def _check_draw(q: int, n: int) -> None:
+    if q < 2 or n < 0:
+        raise ParameterError("need q >= 2 and n >= 0")
 
 
 class SystemSymbolSource:
-    """Uniform symbols from the OS entropy pool, suitable for real keys."""
+    """Uniform symbols from the OS entropy pool, suitable for real keys.
 
-    def draw(self, q: int, n: int) -> list[int]:
-        if q < 2 or n < 0:
-            raise ParameterError("need q >= 2 and n >= 0")
-        # secrets.randbelow rejection-samples, so there is no modulo bias
-        return [secrets.randbelow(q) for _ in range(n)]
+    Reads bulk random bytes, or little-endian 16-bit words when q > 256,
+    and rejection-samples them: only words below the largest multiple of
+    q that the word range holds are kept, so `word % q` has no modulo
+    bias.  For q = 256 every byte is a symbol.
+    """
+
+    def draw(self, q: int, n: int) -> np.ndarray:
+        _check_draw(q, n)
+        word = np.dtype(np.uint8 if q <= 256 else "<u2")
+        span = 1 << (8 * word.itemsize)
+        limit = span - span % q
+        out = np.empty(n, dtype=symbol_dtype(q))
+        have = 0
+        while have < n:
+            want = n - have
+            # the expected number of words plus a margin, so that one read
+            # almost always suffices
+            count = want * span // limit + want // 32 + 64
+            raw = np.frombuffer(os.urandom(count * word.itemsize), dtype=word)
+            if limit < span:
+                raw = raw[raw < limit]
+            raw = raw[:want]
+            out[have:have + raw.size] = raw if q == span else raw % q
+            have += raw.size
+        return out
 
 
 class RandomSymbolSource:
@@ -39,10 +66,9 @@ class RandomSymbolSource:
         else:
             self._rng = np.random.default_rng(seed)
 
-    def draw(self, q: int, n: int) -> list[int]:
-        if q < 2 or n < 0:
-            raise ParameterError("need q >= 2 and n >= 0")
-        return [int(v) for v in self._rng.integers(0, q, size=n)]
+    def draw(self, q: int, n: int) -> np.ndarray:
+        _check_draw(q, n)
+        return self._rng.integers(0, q, size=n).astype(symbol_dtype(q))
 
 
 class SequenceSymbolSource:
@@ -52,7 +78,7 @@ class SequenceSymbolSource:
         self._symbols = [int(s) for s in symbols]
         self._pos = 0
 
-    def draw(self, q: int, n: int) -> list[int]:
+    def draw(self, q: int, n: int) -> np.ndarray:
         if self._pos + n > len(self._symbols):
             raise ParameterError(
                 f"symbol sequence exhausted: wanted {n}, "
@@ -63,7 +89,7 @@ class SequenceSymbolSource:
         for s in out:
             if not 0 <= s < q:
                 raise ParameterError(f"preset symbol {s} outside range(0, {q})")
-        return out
+        return np.array(out, dtype=symbol_dtype(q))
 
     @property
     def remaining(self) -> int:

@@ -22,10 +22,14 @@ import struct
 import tempfile
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (DecodeFailureError, ParameterError, ShareFormatError)
 from .fields import (BINARY8, DEFAULT_BINARY8_POLY, FieldSpec, _is_prime,
                      binary8_field, prime_field)
-from .multilevel import SmdcParams, SmdcShareBundle, decode, encode, plan
+from .multilevel import SmdcParams, SmdcShareBundle, plan
+# the array forms: share files never hold tuples of ints
+from .multilevel import decode_arrays as decode, encode_arrays as encode
 
 MAGIC = b"SMDC"
 VERSION = 1
@@ -66,53 +70,61 @@ def symbols_per_byte(field: FieldSpec) -> int:
     return t
 
 
-def bytes_to_symbols(field: FieldSpec, data: bytes) -> list[int]:
-    """Big endian base-q digits, symbols_per_byte() of them per byte."""
-    if field.kind == BINARY8:
-        return list(data)
-    p = field.modulus
+def _digit_weights(field: FieldSpec) -> np.ndarray:
+    """p^(t-1), ..., p, 1: big endian base-p digit weights of one byte.
+    p^(t-1) < 256 by the choice of t, so the weights fit in uint8."""
     t = symbols_per_byte(field)
-    out = []
-    for b in data:
-        digits = []
-        for _ in range(t):
-            digits.append(b % p)
-            b //= p
-        out.extend(reversed(digits))
-    return out
+    return field.modulus ** np.arange(t - 1, -1, -1, dtype=np.uint32)
+
+
+def bytes_to_symbol_array(field: FieldSpec, data: bytes) -> np.ndarray:
+    """Big endian base-q digits, symbols_per_byte() of them per byte, as
+    a uint8 array."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    if field.kind == BINARY8:
+        return raw
+    weights = _digit_weights(field).astype(np.uint8)
+    return ((raw[:, None] // weights) % field.modulus).reshape(-1)
+
+
+def bytes_to_symbols(field: FieldSpec, data: bytes) -> list[int]:
+    """bytes_to_symbol_array as a list of ints."""
+    return bytes_to_symbol_array(field, data).tolist()
 
 
 def symbols_to_bytes(field: FieldSpec, symbols, n_bytes: int) -> bytes:
-    symbols = list(symbols)
     t = symbols_per_byte(field)
-    if len(symbols) != n_bytes * t:
+    digits = symbols if isinstance(symbols, np.ndarray) else np.asarray(
+        symbols, dtype=np.int64)
+    if len(digits) != n_bytes * t:
         raise DecodeFailureError(
-            f"expected {n_bytes * t} recovered symbols, got {len(symbols)}")
+            f"expected {n_bytes * t} recovered symbols, got {len(digits)}")
     if field.kind == BINARY8:
-        return bytes(symbols)
-    p = field.modulus
-    out = bytearray()
-    for i in range(n_bytes):
-        b = 0
-        for d in symbols[i * t:(i + 1) * t]:
-            b = b * p + d
-        if not 0 <= b <= 255:
-            raise DecodeFailureError("recovered symbols do not form bytes")
-        out.append(b)
-    return bytes(out)
+        values = digits
+    else:
+        wide = np.uint32 if digits.dtype == np.uint8 else np.int64
+        values = digits.reshape(n_bytes, t).astype(wide) @ \
+            _digit_weights(field).astype(wide)
+    if values.size and (values.min() < 0 or values.max() > 255):
+        raise DecodeFailureError("recovered symbols do not form bytes")
+    return values.astype(np.uint8).tobytes()
 
 
 @dataclass(frozen=True)
 class ShareFile:
-    """One encoder's full output: a symbol tuple per source, plus the
-    geometry needed to rebuild the code at join time."""
+    """One encoder's full output: one payload per source, plus the
+    geometry needed to rebuild the code at join time.
+
+    A payload is bytes, one byte per symbol as in the file body; the
+    constructor also accepts int sequences and uint8 arrays.
+    """
 
     length: int
     wiretap: int
     encoder: int
     field: FieldSpec
     byte_lengths: tuple[int, ...]
-    payloads: tuple[tuple[int, ...], ...]
+    payloads: tuple[bytes, ...]
 
     def __post_init__(self):
         if not 1 <= self.wiretap < self.length <= 255:
@@ -125,13 +137,28 @@ class ShareFile:
         object.__setattr__(self, "byte_lengths",
                            tuple(int(v) for v in self.byte_lengths))
         object.__setattr__(self, "payloads",
-                           tuple(tuple(int(v) for v in p)
-                                 for p in self.payloads))
+                           tuple(_payload_bytes(p) for p in self.payloads))
         # the header stores u32 symbol counts and u64 byte lengths
         if any(len(p) > 0xFFFFFFFF for p in self.payloads):
             raise ParameterError("payload too large for a 4-byte symbol count")
         if any(not 0 <= n <= 0xFFFFFFFFFFFFFFFF for n in self.byte_lengths):
             raise ParameterError("byte length does not fit in 8 bytes")
+
+
+def _payload_bytes(payload) -> bytes:
+    if isinstance(payload, bytes):
+        return payload
+    if isinstance(payload, (bytearray, memoryview)):
+        return bytes(payload)
+    arr = np.asarray(payload)
+    if arr.size and (arr.min() < 0 or arr.max() > 255):
+        raise ParameterError("share symbols must fit in one byte")
+    return arr.astype(np.uint8).tobytes()
+
+
+def _largest_symbol(body: bytes, at: int = 0) -> int:
+    return int(np.frombuffer(body, dtype=np.uint8, offset=at).max()) \
+        if len(body) > at else 0
 
 
 def dump_share(share: ShareFile) -> bytes:
@@ -143,11 +170,11 @@ def dump_share(share: ShareFile) -> bytes:
         parts.append(struct.pack("<I", len(payload)))
     for n in share.byte_lengths:
         parts.append(struct.pack("<Q", n))
-    for payload in share.payloads:
-        for v in payload:
-            if not 0 <= v < order:
-                raise ParameterError(f"symbol {v} outside GF({order})")
-        parts.append(bytes(payload))
+    body = b"".join(share.payloads)
+    top = _largest_symbol(body)
+    if top >= order:
+        raise ParameterError(f"symbol {top} outside GF({order})")
+    parts.append(body)
     return b"".join(parts)
 
 
@@ -181,13 +208,12 @@ def load_share(blob: bytes) -> ShareFile:
         raise ShareFormatError(
             f"body holds {len(blob) - at} bytes, header promises {sum(counts)}")
     order = field.order
+    if _largest_symbol(blob, at) >= order:
+        raise ShareFormatError(f"symbol outside GF({order}) in body")
     payloads = []
     for c in counts:
-        chunk = blob[at:at + c]
+        payloads.append(blob[at:at + c])
         at += c
-        if any(v >= order for v in chunk):
-            raise ShareFormatError(f"symbol outside GF({order}) in body")
-        payloads.append(tuple(chunk))
     return ShareFile(length, wiretap, encoder, field,
                      tuple(byte_lengths), tuple(payloads))
 
@@ -224,13 +250,14 @@ def split_files(field: FieldSpec, length: int, wiretap: int,
                 datas, source=None) -> list[ShareFile]:
     """Encode K = length - wiretap byte strings, priority order, into one
     ShareFile per encoder."""
-    sources = [bytes_to_symbols(field, bytes(d)) for d in datas]
+    datas = [bytes(d) for d in datas]
+    sources = [bytes_to_symbol_array(field, d) for d in datas]
     params = SmdcParams(field, length, wiretap,
                         tuple(len(s) for s in sources))
     bundle = encode(params, sources, source)
     byte_lengths = tuple(len(d) for d in datas)
     return [ShareFile(length, wiretap, l, field, byte_lengths,
-                      bundle.payloads[l])
+                      tuple(p.tobytes() for p in bundle.payloads[l]))
             for l in range(1, length + 1)]
 
 

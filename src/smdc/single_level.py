@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .coset import CosetCodeSpec, decode_blocks, encode_blocks
+from .coset import CosetCodeSpec, decode_blocks, default_nodes, encode_blocks
 from .errors import (
     InfeasibleCornerError,
     InsufficientSharesError,
@@ -30,9 +30,11 @@ from .errors import (
     RegionViolationError,
     SmdcError,
 )
-from .fields import FieldSpec
+from .fields import FieldSpec, as_symbols, symbol_dtype
 from .randomness import as_symbol_source
-from .region import region, violated_subsets
+# Membership is decided by sorting (see _check_region); the explicit
+# system stays importable here because perfbench/spans.py traces it.
+from .region import region, violated_subsets  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ class SsdcParams:
                 f"({self.length}, {self.wiretap}, {self.threshold})")
         if not self.nodes:
             object.__setattr__(self, "nodes",
-                               tuple(range(1, self.length + 1)))
+                               default_nodes(self.field, self.length))
         if len(self.nodes) != self.length or len(set(self.nodes)) != self.length:
             raise ParameterError("need one distinct node per encoder")
         for v in self.nodes:
@@ -116,8 +118,11 @@ class BundleLayout:
 
 @dataclass(frozen=True)
 class SsdcShareBundle:
+    """payloads[encoder] is that encoder's symbol sequence: a tuple from
+    encode_with_layout, an array from encode_arrays."""
+
     layout: BundleLayout
-    payloads: Mapping[int, tuple[int, ...]]
+    payloads: Mapping[int, Sequence[int]]
 
 
 def _as_rates(params: SsdcParams, rates) -> tuple[Fraction, ...]:
@@ -131,41 +136,64 @@ def _as_rates(params: SsdcParams, rates) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def _check_region(params: SsdcParams, rates: tuple[Fraction, ...]) -> None:
+    """Membership in region(L, k, 1) in O(L log L).
+
+    The region is symmetric: every k-subset of the rates sums to at least
+    1 exactly when the k smallest do, so those k encoders (ties broken by
+    encoder index) are the witness of a violation.  A negative rate is
+    its own witness, as its nonnegativity row is.
+    """
+    negative = [l for l, r in enumerate(rates, start=1) if r < 0]
+    if negative:
+        subset = (negative[0],)
+    else:
+        order = sorted(range(params.length), key=lambda i: (rates[i], i))
+        smallest = order[:params.k]
+        if sum(rates[i] for i in smallest) >= 1:
+            return
+        subset = tuple(sorted(i + 1 for i in smallest))
+    raise RegionViolationError(
+        f"rates {tuple(map(str, rates))} leave encoder subset "
+        f"{subset} below the decoding requirement",
+        subset=subset, rates=rates)
+
+
 def rate_layout(params: SsdcParams, message_symbols: int, rates) -> BundleLayout:
     """Schedule `message_symbols` symbols at (per-symbol) rates.
 
     Rates are normalized to a unit-entropy message: admissible means
-    every k-subset of them sums to at least 1.
+    every k-subset of them sums to at least 1.  Encoder l gets a budget
+    of ceil(r_l * n) blocks and round j runs over the encoders whose
+    budget is at least j, so the active set only changes at the distinct
+    budget values: each one closes a run, and the last run stops as soon
+    as the message is covered.
     """
     rates = _as_rates(params, rates)
     if message_symbols < 0:
         raise ParameterError("message length cannot be negative")
-    reg = region(params.length, params.k, 1)
-    if not reg.contains(rates):
-        bad = violated_subsets(reg, rates)
-        raise RegionViolationError(
-            f"rates {tuple(map(str, rates))} leave encoder subset "
-            f"{bad[0]} below the decoding requirement",
-            subset=bad[0], rates=rates)
+    _check_region(params, rates)
 
     budgets = [ceil(r * message_symbols) for r in rates]
     floor_active = params.length - params.k
     runs: list[BlockRun] = []
     covered = 0
-    j = 1
-    while covered < message_symbols:
+    done = 0  # rounds scheduled so far
+    for budget in sorted(set(budgets) - {0}):
+        if covered >= message_symbols:
+            break
         active = tuple(l for l in range(1, params.length + 1)
-                       if budgets[l - 1] >= j)
-        if len(active) <= floor_active:
-            raise SmdcError("schedule ran out of capacity on admissible "
-                            "rates; this is a bug")
+                       if budgets[l - 1] >= budget)
         size = len(active) - floor_active
-        if runs and runs[-1].active == active:
-            runs[-1] = BlockRun(active, size, runs[-1].count + 1)
-        else:
-            runs.append(BlockRun(active, size, 1))
-        covered += size
-        j += 1
+        if size <= 0:
+            break
+        count = min(budget - done, -(-(message_symbols - covered) // size))
+        runs.append(BlockRun(active, size, count))
+        covered += count * size
+        done = budget
+    if covered < message_symbols:
+        raise SmdcError("schedule ran out of capacity on admissible "
+                        "rates; this is a bug")
     return BundleLayout(params, tuple(runs), message_symbols, rates)
 
 
@@ -191,34 +219,49 @@ def corner_layout(params: SsdcParams, message_symbols: int,
     return rate_layout(params, message_symbols, rates)
 
 
-def encode_with_layout(layout: BundleLayout, message: Sequence[int],
-                       source=None) -> SsdcShareBundle:
+def encode_arrays(layout: BundleLayout, message, source=None
+                  ) -> SsdcShareBundle:
+    """Encode a message along its layout; payloads are symbol arrays.
+
+    Each run is one block encode over all its blocks, with its keys drawn
+    in one call.
+    """
     params = layout.params
-    if len(message) != layout.message_symbols:
+    field = params.field
+    msg = as_symbols(field, message)
+    if len(msg) != layout.message_symbols:
         raise ParameterError(
             f"layout expects {layout.message_symbols} symbols, "
-            f"got {len(message)}")
-    q = params.field.order
-    msg = [int(v) for v in message]
-    for v in msg:
-        params.field._check(v)
-    msg = msg + [0] * layout.padding
+            f"got {len(msg)}")
+    dtype = symbol_dtype(field.order)
+    if layout.padding:
+        msg = np.concatenate([msg, np.zeros(layout.padding, dtype=dtype)])
     src = as_symbol_source(source)
 
-    payloads: dict[int, list[int]] = {l: [] for l in range(1, params.length + 1)}
+    parts: dict[int, list[np.ndarray]] = {
+        l: [] for l in range(1, params.length + 1)}
     offset = 0
     for run in layout.runs:
         spec = params.run_spec(run.active, run.size)
         take = run.count * run.size
-        blocks = np.array(msg[offset:offset + take],
-                          dtype=np.int64).reshape(run.count, run.size)
-        keys = np.array(src.draw(q, run.count * params.wiretap),
-                        dtype=np.int64).reshape(run.count, params.wiretap)
+        blocks = msg[offset:offset + take].reshape(run.count, run.size)
+        keys = np.asarray(src.draw(field.order, run.count * params.wiretap),
+                          dtype=dtype).reshape(run.count, params.wiretap)
         shares = encode_blocks(spec, blocks, keys)
         for pos, l in enumerate(run.active):
-            payloads[l].extend(int(v) for v in shares[:, pos])
+            parts[l].append(shares[:, pos])
         offset += take
-    return SsdcShareBundle(layout, {l: tuple(p) for l, p in payloads.items()})
+    return SsdcShareBundle(layout, {
+        l: np.concatenate(p) if p else np.zeros(0, dtype=dtype)
+        for l, p in parts.items()})
+
+
+def encode_with_layout(layout: BundleLayout, message: Sequence[int],
+                       source=None) -> SsdcShareBundle:
+    """encode_arrays with payloads as tuples of ints."""
+    bundle = encode_arrays(layout, message, source)
+    return SsdcShareBundle(layout, {l: tuple(p.tolist())
+                                    for l, p in bundle.payloads.items()})
 
 
 def encode_symmetric(params: SsdcParams, message: Sequence[int],
@@ -239,11 +282,13 @@ def encode_at_rate(params: SsdcParams, message: Sequence[int], rates,
                               message, source)
 
 
-def decode(layout: BundleLayout, observed: Mapping[int, Sequence[int]]
-           ) -> tuple[int, ...]:
+def decode_arrays(layout: BundleLayout, observed: Mapping[int, Sequence[int]]
+                  ) -> np.ndarray:
     """Reconstruct the message from any `threshold` encoder payloads.
 
-    Payloads beyond the threshold join the consistency check.
+    Payloads may be int sequences, arrays or bytes (one symbol per byte).
+    Payloads beyond the threshold join the consistency check.  Each run
+    is one block decode over columns sliced from the payloads.
     """
     params = layout.params
     present = sorted(int(l) for l in observed)
@@ -256,26 +301,32 @@ def decode(layout: BundleLayout, observed: Mapping[int, Sequence[int]]
             f"got {len(present)} "
             f"({params.threshold - len(present)} short)",
             needed=params.threshold, have=len(present))
-    for l in present:
-        if len(observed[l]) != layout.emitted(l):
+    payloads = {l: as_symbols(params.field, observed[l]) for l in present}
+    for l, p in payloads.items():
+        if len(p) != layout.emitted(l):
             raise ParameterError(
-                f"encoder {l} payload has {len(observed[l])} symbols, "
+                f"encoder {l} payload has {len(p)} symbols, "
                 f"layout says {layout.emitted(l)}")
 
-    offsets = {l: 0 for l in present}
-    out: list[int] = []
+    offsets = dict.fromkeys(present, 0)
+    out = [np.zeros(0, dtype=symbol_dtype(params.field.order))]
     for run in layout.runs:
         spec = params.run_spec(run.active, run.size)
-        avail = [l for l in run.active if l in offsets]
+        avail = [l for l in run.active if l in payloads]
         local_ids = tuple(run.active.index(l) + 1 for l in avail)
-        cols = np.array(
-            [[int(observed[l][offsets[l] + b]) for l in avail]
-             for b in range(run.count)], dtype=np.int64)
-        blocks = decode_blocks(spec, local_ids, cols)
-        out.extend(int(v) for v in blocks.reshape(-1))
+        cols = np.stack([payloads[l][offsets[l]:offsets[l] + run.count]
+                         for l in avail])
+        blocks = decode_blocks(spec, local_ids, cols.T)
+        out.append(blocks.reshape(-1))
         for l in avail:
             offsets[l] += run.count
-    return tuple(out[:layout.message_symbols])
+    return np.concatenate(out)[:layout.message_symbols]
+
+
+def decode(layout: BundleLayout, observed: Mapping[int, Sequence[int]]
+           ) -> tuple[int, ...]:
+    """decode_arrays, returning the message as a tuple of ints."""
+    return tuple(decode_arrays(layout, observed).tolist())
 
 
 def decode_bundle(bundle: SsdcShareBundle, subset: Sequence[int] | None = None

@@ -75,7 +75,7 @@ def test_join_flags_a_corrupted_share(tmp_path, capsys):
     original = read_share(shares / "share_1.smdc")
     assert original.field == prime_field(5)
     p0 = original.payloads
-    flipped = (p0[0][:1] + ((p0[0][1] + 1) % 5,) + p0[0][2:],) + p0[1:]
+    flipped = (p0[0][:1] + bytes([(p0[0][1] + 1) % 5]) + p0[0][2:],) + p0[1:]
     write_share(shares / "bad.smdc", replace(original, payloads=flipped))
 
     out = tmp_path / "out"
@@ -84,6 +84,17 @@ def test_join_flags_a_corrupted_share(tmp_path, capsys):
     assert code == EXIT_VERIFY_FAILED
     assert not out.exists() or not list(out.iterdir())
     assert "error" in capsys.readouterr().err
+
+
+def test_split_names_the_encoder_limit_of_a_prime_field(tmp_path, capsys):
+    sources = [write(tmp_path / f"s{k}", b"x") for k in range(6)]
+    code = entry(["split", "--L", "7", "--N", "1", "--field", "5",
+                  "--out-dir", str(tmp_path / "out"), *sources])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "GF(5) supports at most 4 encoders" in err
+    assert "use gf256 or a prime above 7" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_split_refuses_to_overwrite(tmp_path, capsys):

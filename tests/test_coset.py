@@ -20,7 +20,7 @@ from smdc.errors import (
     ParameterError,
 )
 from smdc.fields import binary8_field, prime_field
-from smdc.randomness import SequenceSymbolSource
+from smdc.randomness import SequenceSymbolSource, SystemSymbolSource
 
 GF5 = prime_field(5)
 GF7 = prime_field(7)
@@ -137,6 +137,48 @@ def test_keygen_deterministic_and_balanced():
     assert chi2 < dof + 5 * (2 * dof) ** 0.5
 
 
+def _chi2_ok(counts) -> bool:
+    # the bound of test_keygen_deterministic_and_balanced
+    expected = counts.sum() / len(counts)
+    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    dof = len(counts) - 1
+    return chi2 < dof + 5 * (2 * dof) ** 0.5
+
+
+@pytest.mark.parametrize("q", [256, 5, 251, 257])
+def test_system_source_bulk_draws_are_balanced(q):
+    # 251 rejects the most bytes (5 of 256); 257 draws 16-bit words
+    draws = SystemSymbolSource().draw(q, 200 * q)
+    assert draws.shape == (200 * q,)
+    assert draws.dtype == (np.uint8 if q <= 256 else np.uint16)
+    assert _chi2_ok(np.bincount(draws, minlength=q))
+
+
+@pytest.mark.parametrize("q,word_bytes", [(5, 1), (251, 1), (256, 1),
+                                          (257, 2)])
+def test_system_source_rejects_exactly_the_biased_tail(q, word_bytes,
+                                                      monkeypatch):
+    # feed every word value in turn: keeping only words below the largest
+    # multiple of q leaves each residue exactly equally often
+    span = 1 << (8 * word_bytes)
+    words = np.arange(span, dtype="<u2" if word_bytes == 2 else np.uint8)
+    stream = np.tile(words, 4).tobytes()
+    position = 0
+
+    def urandom(n):
+        nonlocal position
+        chunk = stream[position:position + n]
+        position += n
+        assert len(chunk) == n, "drew more than four full cycles"
+        return chunk
+
+    monkeypatch.setattr("smdc.randomness.os.urandom", urandom)
+    kept = span - span % q
+    draws = SystemSymbolSource().draw(q, 3 * kept)
+    counts = np.bincount(draws, minlength=q)
+    assert counts.tolist() == [3 * kept // q] * q
+
+
 def test_keygen_sequence_source_exhaustion():
     spec = CosetCodeSpec(GF5, length=2, wiretap=1, threshold=2)
     src = SequenceSymbolSource([4])
@@ -168,3 +210,4 @@ def test_block_paths_match_scalar_paths(field):
     bad[7, 3] = (int(bad[7, 3]) + 1) % q
     with pytest.raises(DecodeFailureError):
         decode_blocks(spec, (1, 2, 3, 4), bad)
+

@@ -11,6 +11,7 @@ from smdc.fields import (
     FieldSpec,
     array_matmul,
     binary8_field,
+    matrix_inverse,
     matrix_rank,
     prime_field,
     solve_linear,
@@ -274,3 +275,21 @@ def test_array_matmul_matches_scalar_loop(field):
                 for t in range(k):
                     acc = field.add(acc, field.mul(int(a[i, t]), int(b[t, j])))
                 assert got[i, j] == acc
+
+
+@pytest.mark.parametrize("field", [prime_field(5), prime_field(251),
+                                   prime_field(65521), binary8_field()])
+def test_matrix_inverse_matches_column_solves(field):
+    rng = np.random.default_rng(7)
+    n = min(6, field.order - 1)
+    nodes = [int(v) for v in rng.choice(range(1, min(field.order, 200)),
+                                        size=n, replace=False)]
+    a = vandermonde_int(field, nodes, n)
+    inv = matrix_inverse(field, a)
+    for j in range(n):
+        e = [0] * n
+        e[j] = 1
+        assert inv[:, j].tolist() == solve_linear_int(field, a, e)
+    # a zero row is singular
+    with pytest.raises(SingularMatrixError):
+        matrix_inverse(field, [[1, 2], [0, 0]])

@@ -167,7 +167,7 @@ def test_join_rejects_wrong_geometry():
 def test_join_detects_a_corrupted_symbol():
     shares = split_files(GF5, 3, 1, [b"a", b"bc"], source=1)
     p0 = shares[0].payloads
-    flipped = (p0[0][:1] + ((p0[0][1] + 1) % 5,) + p0[0][2:], p0[1])
+    flipped = (p0[0][:1] + bytes([(p0[0][1] + 1) % 5]) + p0[0][2:], p0[1])
     bad = ShareFile(3, 1, 1, GF5, shares[0].byte_lengths, flipped)
     with pytest.raises(DecodeFailureError):
         join_files([bad, shares[1], shares[2]])
@@ -195,3 +195,12 @@ def test_disk_round_trip_is_atomic(tmp_path):
     assert os.listdir(tmp_path) == ["part.smdc"]
     write_share(path, HAND_SHARE)    # overwrite through the tmp file
     assert read_share(path) == HAND_SHARE
+
+
+def test_wide_split_and_join_of_one_byte_sources():
+    # (L, N) = (24, 3): one m x m inverse per source level, up to m = 24,
+    # and no C(24, 12)-row region anywhere on the path
+    datas = [bytes([k]) for k in range(21)]
+    shares = split_files(binary8_field(), 24, 3, datas, source=24)
+    assert join_files(shares) == datas
+    assert join_files(shares[::2]) == datas[:9]
