@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
 )
 from .fields import (FieldSpec, array_matmul, matrix_inverse, symbol_dtype,
-                     vandermonde_int)
+                     vandermonde_array)
 from .randomness import as_symbol_source
 
 
@@ -73,21 +73,23 @@ class CosetCodeSpec:
         return self.threshold - self.wiretap
 
 
-@lru_cache(maxsize=None)
 def generator_matrix(spec: CosetCodeSpec) -> tuple[tuple[int, ...], ...]:
-    rows = vandermonde_int(spec.field, spec.nodes, spec.threshold)
-    return tuple(tuple(r) for r in rows)
+    return tuple(map(tuple, _generator_array(spec).tolist()))
 
 
-@lru_cache(maxsize=None)
+# The caches below are bounded: a process that joins from many different
+# share subsets would otherwise keep every inverse it ever computed.  256
+# entries hold one solver per source level of any L the container allows.
+
+@lru_cache(maxsize=256)
 def _generator_array(spec: CosetCodeSpec) -> np.ndarray:
-    gen = np.array(generator_matrix(spec),
-                   dtype=symbol_dtype(spec.field.order))
+    gen = vandermonde_array(spec.field, spec.nodes, spec.threshold).astype(
+        symbol_dtype(spec.field.order))
     gen.flags.writeable = False
     return gen
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _decode_solver(spec: CosetCodeSpec, ids: tuple[int, ...]):
     """Inverse of the square submatrix for the first `threshold` of ids,
     plus the generator rows of any extra ids for consistency checking."""
@@ -96,7 +98,7 @@ def _decode_solver(spec: CosetCodeSpec, ids: tuple[int, ...]):
     m = spec.threshold
     inv = matrix_inverse(spec.field, gen[rows[:m]])
     extra = gen[rows[m:]]
-    inv.flags.writeable = False
+    inv.flags.writeable = extra.flags.writeable = False
     return inv, extra
 
 

@@ -361,6 +361,11 @@ def matrix_rank(spec: FieldSpec, a: Sequence[Sequence[int]]) -> int:
 
 def vandermonde_int(spec: FieldSpec, nodes: Sequence[int], width: int) -> list[list[int]]:
     """Vandermonde matrix on ints: entry (i, j) = nodes[i] ** j."""
+    return vandermonde_array(spec, nodes, width).tolist()
+
+
+def vandermonde_array(spec: FieldSpec, nodes: Sequence[int], width: int) -> np.ndarray:
+    """vandermonde_int as an int64 array, built one column at a time."""
     vals = [spec._check(int(v)) for v in nodes]
     if len(set(vals)) != len(vals):
         raise ParameterError("vandermonde nodes must be distinct")
@@ -370,7 +375,7 @@ def vandermonde_int(spec: FieldSpec, nodes: Sequence[int], width: int) -> list[l
     out = np.ones((len(vals), width), dtype=np.int64)
     for j in range(1, width):
         out[:, j] = _array_mul(spec, out[:, j - 1], column)
-    return out.tolist()
+    return out
 
 
 def vandermonde(nodes, width: int, spec: FieldSpec | None = None) -> list[list[FieldElement]]:
@@ -443,11 +448,11 @@ def matrix_inverse(spec: FieldSpec, a) -> np.ndarray:
         m[col] = _array_mul(spec, m[col], spec.inv(int(m[col, col])))
         factors = m[:, col].copy()
         factors[col] = 0
-        step = _array_mul(spec, factors[:, None], m[col][None, :])
         if spec.kind == PRIME:
-            m = (m - step) % spec.modulus
+            m = (m - np.outer(factors, m[col])) % spec.modulus
         else:
-            m ^= step
+            table = _binary8_mul_table(spec.modulus)
+            m ^= np.take(table[factors], m[col], axis=1)
     return m[:, n:].astype(symbol_dtype(spec.order))
 
 

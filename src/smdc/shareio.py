@@ -102,9 +102,8 @@ def symbols_to_bytes(field: FieldSpec, symbols, n_bytes: int) -> bytes:
     if field.kind == BINARY8:
         values = digits
     else:
-        wide = np.uint32 if digits.dtype == np.uint8 else np.int64
-        values = digits.reshape(n_bytes, t).astype(wide) @ \
-            _digit_weights(field).astype(wide)
+        # uint8 digits promote to the uint32 weights, int digits stay int64
+        values = digits.reshape(n_bytes, t) @ _digit_weights(field)
     if values.size and (values.min() < 0 or values.max() > 255):
         raise DecodeFailureError("recovered symbols do not form bytes")
     return values.astype(np.uint8).tobytes()
