@@ -397,8 +397,11 @@ def array_elements(spec: FieldSpec, data: Iterable[int]) -> np.ndarray:
 
 
 def symbol_dtype(order: int) -> type:
-    """Narrowest unsigned dtype that holds every element of a field."""
-    return np.uint8 if order <= 256 else np.uint16
+    """Narrowest unsigned dtype that holds 0..order-1."""
+    for t in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if order - 1 <= np.iinfo(t).max:
+            return t
+    raise ParameterError(f"no unsigned dtype holds symbols below {order}")
 
 
 def as_symbols(spec: FieldSpec, values) -> np.ndarray:

@@ -26,15 +26,16 @@ def _check_draw(q: int, n: int) -> None:
 class SystemSymbolSource:
     """Uniform symbols from the OS entropy pool, suitable for real keys.
 
-    Reads bulk random bytes, or little-endian 16-bit words when q > 256,
-    and rejection-samples them: only words below the largest multiple of
-    q that the word range holds are kept, so `word % q` has no modulo
-    bias.  For q = 256 every byte is a symbol.
+    Reads bulk random words of the symbol dtype (bytes up to q = 256,
+    little-endian 16-bit words up to 65536, and so on) and
+    rejection-samples them: only words below the largest multiple of q
+    that the word range holds are kept, so `word % q` has no modulo bias.
+    For q = 256 every byte is a symbol.
     """
 
     def draw(self, q: int, n: int) -> np.ndarray:
         _check_draw(q, n)
-        word = np.dtype(np.uint8 if q <= 256 else "<u2")
+        word = np.dtype(symbol_dtype(q)).newbyteorder("<")
         span = 1 << (8 * word.itemsize)
         limit = span - span % q
         out = np.empty(n, dtype=symbol_dtype(q))
