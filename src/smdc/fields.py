@@ -478,8 +478,7 @@ def array_matmul(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ParameterError("array_matmul shapes do not align")
     if spec.kind == PRIME:
         p = spec.modulus
-        wide = next(t for t in (np.uint16, np.uint32, np.uint64)
-                    if (p - 1) ** 2 * inner <= np.iinfo(t).max)
+        wide = symbol_dtype((p - 1) ** 2 * inner + 1)
         acc = np.zeros((b.shape[1], n), dtype=wide)
         for j in range(inner):
             acc += b[j].astype(wide)[:, None] * rows[j]
