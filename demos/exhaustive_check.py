@@ -70,18 +70,18 @@ print("STAGE 2: a deliberately broken code fails the same audit")
 print("=" * 64)
 
 
-def leaky_encode(sources, key):
-    # encoder 1 stores the message in the clear
-    (s,) = sources[0]
-    (k,) = key
-    return ((s,), ((s + k) % 3,), (k,))
+def leaky_encode(sources, keys):
+    # encoder 1 stores the message in the clear; every argument and
+    # result is a batch with one row per (message, key) word
+    s = sources[0]
+    return (s, (s + keys) % 3, keys)
 
 
 def leaky_decode(observed):
     if 1 in observed:
-        return (tuple(observed[1]),)
+        return (observed[1],)
     if 2 in observed and 3 in observed:
-        return (((observed[2][0] - observed[3][0]) % 3,),)
+        return ((observed[2] - observed[3]) % 3,)
     return ()
 
 

@@ -9,10 +9,6 @@ class ParameterError(SmdcError, ValueError):
     """A call was made with parameters outside the documented domain."""
 
 
-class FieldMismatchError(SmdcError, ValueError):
-    """Two field elements from different fields were combined."""
-
-
 class SingularMatrixError(SmdcError, ArithmeticError):
     """A linear system has no unique solution."""
 

@@ -2,20 +2,21 @@
 
 Two kinds of field are supported: prime fields GF(p) with p <= 2^16, and
 the 256-element binary field GF(2^8) built from a degree-8 reduction
-polynomial (given as a 9-bit mask, default 0x11B).  Scalar work goes
-through :class:`FieldSpec` / :class:`FieldElement`; bulk block math uses
-the numpy helpers at the bottom of the module.
+polynomial (given as a 9-bit mask, default 0x11B).  Scalar arithmetic on
+plain ints goes through :class:`FieldSpec`; the scalar linear algebra
+(`solve_linear_int`, `matrix_rank`) is kept as a reference for tests, and
+all bulk block math uses the numpy helpers at the bottom of the module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import FieldMismatchError, ParameterError, SingularMatrixError
+from .errors import ParameterError, SingularMatrixError
 
 PRIME = "prime"
 BINARY8 = "binary8"
@@ -100,9 +101,6 @@ class FieldSpec:
         if not 0 <= a < self.order:
             raise ParameterError(f"{a} is not an element of {self}")
         return a
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self._check(int(value)), self)
 
     def add(self, a: int, b: int) -> int:
         if self.kind == PRIME:
@@ -205,94 +203,6 @@ GF7 = prime_field(7)
 GF256 = binary8_field()
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """One field element; binary operators require matching fields."""
-
-    value: int
-    spec: FieldSpec
-
-    def __post_init__(self):
-        self.spec._check(self.value)
-
-    def _peer(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.spec != self.spec:
-                raise FieldMismatchError(
-                    f"cannot combine {self.spec} and {other.spec} elements"
-                )
-            return other.value
-        if isinstance(other, int):
-            return self.spec._check(other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        v = self._peer(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec.add(self.value, v), self.spec)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._peer(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec.sub(self.value, v), self.spec)
-
-    def __mul__(self, other):
-        v = self._peer(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec.mul(self.value, v), self.spec)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(self.spec.neg(self.value), self.spec)
-
-    def __truediv__(self, other):
-        v = self._peer(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec.mul(self.value, self.spec.inv(v)), self.spec)
-
-    def __pow__(self, e: int):
-        return FieldElement(self.spec.pow(self.value, e), self.spec)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec.inv(self.value), self.spec)
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"{self.value}:{self.spec}"
-
-
-def _coerce_matrix(rows, spec: FieldSpec | None):
-    """Normalize a matrix of FieldElement/int entries to ints plus a spec."""
-    out = []
-    for row in rows:
-        r = []
-        for x in row:
-            if isinstance(x, FieldElement):
-                if spec is None:
-                    spec = x.spec
-                elif x.spec != spec:
-                    raise FieldMismatchError("mixed fields in matrix")
-                r.append(x.value)
-            else:
-                r.append(int(x))
-        out.append(r)
-    if spec is None:
-        raise ParameterError("cannot infer field: pass spec or FieldElements")
-    for r in out:
-        for x in r:
-            spec._check(x)
-    return out, spec
-
-
 def solve_linear_int(spec: FieldSpec, a: Sequence[Sequence[int]],
                      y: Sequence[int]) -> list[int]:
     """Solve the square system a.x = y over the field, on plain ints.
@@ -322,14 +232,6 @@ def solve_linear_int(spec: FieldSpec, a: Sequence[Sequence[int]],
                 f = m[r][col]
                 m[r] = [spec.sub(v, spec.mul(f, w)) for v, w in zip(m[r], m[col])]
     return [m[r][n] for r in range(n)]
-
-
-def solve_linear(a, y, spec: FieldSpec | None = None) -> list[FieldElement]:
-    """Solve a square linear system given as FieldElement (or int) entries."""
-    a_int, spec = _coerce_matrix(a, spec)
-    y_int, _ = _coerce_matrix([y], spec)
-    x = solve_linear_int(spec, a_int, y_int[0])
-    return [FieldElement(v, spec) for v in x]
 
 
 def matrix_rank(spec: FieldSpec, a: Sequence[Sequence[int]]) -> int:
@@ -378,23 +280,8 @@ def vandermonde_array(spec: FieldSpec, nodes: Sequence[int], width: int) -> np.n
     return out
 
 
-def vandermonde(nodes, width: int, spec: FieldSpec | None = None) -> list[list[FieldElement]]:
-    """Vandermonde matrix over FieldElements; nodes must be distinct."""
-    node_rows, spec = _coerce_matrix([nodes], spec)
-    m = vandermonde_int(spec, node_rows[0], width)
-    return [[FieldElement(v, spec) for v in row] for row in m]
-
-
 # ---------------------------------------------------------------------------
 # bulk numpy paths (exact; used for multi-block encoding and file splitting)
-
-def array_elements(spec: FieldSpec, data: Iterable[int]) -> np.ndarray:
-    arr = np.asarray(list(data) if not isinstance(data, np.ndarray) else data,
-                     dtype=np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() >= spec.order):
-        raise ParameterError("array contains values outside the field")
-    return arr
-
 
 def symbol_dtype(order: int) -> type:
     """Narrowest unsigned dtype that holds 0..order-1."""
@@ -405,7 +292,8 @@ def symbol_dtype(order: int) -> type:
 
 
 def as_symbols(spec: FieldSpec, values) -> np.ndarray:
-    """A 1-D array of field elements in the field's symbol dtype.
+    """An array (1-D, or a batch of them) of field elements in the
+    field's symbol dtype.
 
     Bytes-like input is read one symbol per byte without copying; any
     other sequence is range-checked in one pass.
@@ -414,8 +302,8 @@ def as_symbols(spec: FieldSpec, values) -> np.ndarray:
         arr = np.frombuffer(values, dtype=np.uint8)
     else:
         arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ParameterError("expected a flat sequence of symbols")
+    if arr.ndim < 1:
+        raise ParameterError("expected a sequence of symbols")
     if arr.size:
         lo, hi = arr.min(), arr.max()
         if lo < 0 or hi >= spec.order:

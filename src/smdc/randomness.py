@@ -4,8 +4,8 @@ Encoders only ever ask for "n uniform symbols from {0..q-1}", so the
 interface is a single draw method, which returns an array in the
 field's symbol dtype.  Unseeded encoding draws from the operating system
 entropy pool; the numpy generator gives seeded determinism for tests and
-the CLI; SequenceSymbolSource replays a preset list, which the exhaustive
-verifier uses to enumerate key outcomes.
+the CLI; SequenceSymbolSource replays preset symbols, which the exhaustive
+verifier uses to push every key outcome through the encoder.
 """
 
 from __future__ import annotations
@@ -73,28 +73,42 @@ class RandomSymbolSource:
 
 
 class SequenceSymbolSource:
-    """Replays a fixed symbol sequence; raises when it runs dry."""
+    """Replays fixed symbols; raises when they run dry.
+
+    Takes one sequence, or a (W, k) array of W sequences replayed side by
+    side: a draw of W*m symbols returns the next m of every row, row
+    after row, so a batch of W encodes sees row i exactly as a single
+    encode of word i would see it.
+    """
 
     def __init__(self, symbols):
-        self._symbols = [int(s) for s in symbols]
+        arr = np.asarray(symbols, dtype=np.int64)
+        self._symbols = arr if arr.ndim == 2 else arr.reshape(1, -1)
         self._pos = 0
 
     def draw(self, q: int, n: int) -> np.ndarray:
-        if self._pos + n > len(self._symbols):
+        rows, cols = self._symbols.shape
+        if n % rows:
+            raise ParameterError(
+                f"cannot split a draw of {n} over {rows} sequences")
+        m = n // rows
+        if self._pos + m > cols:
             raise ParameterError(
                 f"symbol sequence exhausted: wanted {n}, "
-                f"have {len(self._symbols) - self._pos}"
+                f"have {self.remaining}"
             )
-        out = self._symbols[self._pos:self._pos + n]
-        self._pos += n
-        for s in out:
-            if not 0 <= s < q:
-                raise ParameterError(f"preset symbol {s} outside range(0, {q})")
-        return np.array(out, dtype=symbol_dtype(q))
+        out = self._symbols[:, self._pos:self._pos + m].reshape(-1)
+        self._pos += m
+        bad = out[(out < 0) | (out >= q)]
+        if bad.size:
+            raise ParameterError(
+                f"preset symbol {bad[0]} outside range(0, {q})")
+        return out.astype(symbol_dtype(q))
 
     @property
     def remaining(self) -> int:
-        return len(self._symbols) - self._pos
+        rows, cols = self._symbols.shape
+        return rows * (cols - self._pos)
 
 
 def as_symbol_source(source):

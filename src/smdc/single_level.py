@@ -223,19 +223,23 @@ def encode_arrays(layout: BundleLayout, message, source=None
                   ) -> SsdcShareBundle:
     """Encode a message along its layout; payloads are symbol arrays.
 
-    Each run is one block encode over all its blocks, with its keys drawn
-    in one call.
+    `message` has shape (..., h): leading axes are a batch of messages
+    encoded independently, and each payload has shape (..., emitted).
+    Each run is one block encode over all its blocks of the whole batch,
+    with its keys drawn in one call, word after word.
     """
     params = layout.params
     field = params.field
     msg = as_symbols(field, message)
-    if len(msg) != layout.message_symbols:
+    if msg.shape[-1] != layout.message_symbols:
         raise ParameterError(
             f"layout expects {layout.message_symbols} symbols, "
-            f"got {len(msg)}")
+            f"got {msg.shape[-1]}")
+    batch = msg.shape[:-1]
     dtype = symbol_dtype(field.order)
     if layout.padding:
-        msg = np.concatenate([msg, np.zeros(layout.padding, dtype=dtype)])
+        msg = np.concatenate(
+            [msg, np.zeros(batch + (layout.padding,), dtype=dtype)], axis=-1)
     src = as_symbol_source(source)
 
     parts: dict[int, list[np.ndarray]] = {
@@ -244,15 +248,17 @@ def encode_arrays(layout: BundleLayout, message, source=None
     for run in layout.runs:
         spec = params.run_spec(run.active, run.size)
         take = run.count * run.size
-        blocks = msg[offset:offset + take].reshape(run.count, run.size)
-        keys = np.asarray(src.draw(field.order, run.count * params.wiretap),
-                          dtype=dtype).reshape(run.count, params.wiretap)
+        blocks = msg[..., offset:offset + take].reshape(-1, run.size)
+        keys = np.asarray(
+            src.draw(field.order, len(blocks) * params.wiretap),
+            dtype=dtype).reshape(-1, params.wiretap)
         shares = encode_blocks(spec, blocks, keys)
         for pos, l in enumerate(run.active):
-            parts[l].append(shares[:, pos])
+            parts[l].append(shares[:, pos].reshape(batch + (run.count,)))
         offset += take
     return SsdcShareBundle(layout, {
-        l: np.concatenate(p) if p else np.zeros(0, dtype=dtype)
+        l: np.concatenate(p, axis=-1) if p
+        else np.zeros(batch + (0,), dtype=dtype)
         for l, p in parts.items()})
 
 
@@ -286,9 +292,11 @@ def decode_arrays(layout: BundleLayout, observed: Mapping[int, Sequence[int]]
                   ) -> np.ndarray:
     """Reconstruct the message from any `threshold` encoder payloads.
 
-    Payloads may be int sequences, arrays or bytes (one symbol per byte).
-    Payloads beyond the threshold join the consistency check.  Each run
-    is one block decode over columns sliced from the payloads.
+    Payloads may be int sequences, arrays or bytes (one symbol per byte),
+    or batches of shape (..., emitted) that share their leading axes; the
+    result then has shape (..., h).  Payloads beyond the threshold join
+    the consistency check.  Each run is one block decode over columns
+    sliced from the payloads.
     """
     params = layout.params
     present = sorted(int(l) for l in observed)
@@ -302,25 +310,31 @@ def decode_arrays(layout: BundleLayout, observed: Mapping[int, Sequence[int]]
             f"({params.threshold - len(present)} short)",
             needed=params.threshold, have=len(present))
     payloads = {l: as_symbols(params.field, observed[l]) for l in present}
+    batch = payloads[present[0]].shape[:-1]
     for l, p in payloads.items():
-        if len(p) != layout.emitted(l):
+        if p.shape[:-1] != batch:
+            raise ParameterError("payload batches differ in shape")
+        if p.shape[-1] != layout.emitted(l):
             raise ParameterError(
-                f"encoder {l} payload has {len(p)} symbols, "
+                f"encoder {l} payload has {p.shape[-1]} symbols, "
                 f"layout says {layout.emitted(l)}")
 
     offsets = dict.fromkeys(present, 0)
-    out = [np.zeros(0, dtype=symbol_dtype(params.field.order))]
+    out = [np.zeros(batch + (0,), dtype=symbol_dtype(params.field.order))]
     for run in layout.runs:
         spec = params.run_spec(run.active, run.size)
         avail = [l for l in run.active if l in payloads]
         local_ids = tuple(run.active.index(l) + 1 for l in avail)
-        cols = np.stack([payloads[l][offsets[l]:offsets[l] + run.count]
-                         for l in avail])
-        blocks = decode_blocks(spec, local_ids, cols.T)
-        out.append(blocks.reshape(-1))
+        # stacked first and moved last, so that one unbatched payload's
+        # column stays contiguous for the block kernel
+        cols = np.moveaxis(np.stack(
+            [payloads[l][..., offsets[l]:offsets[l] + run.count]
+             for l in avail]), 0, -1)
+        blocks = decode_blocks(spec, local_ids, cols.reshape(-1, len(avail)))
+        out.append(blocks.reshape(batch + (-1,)))
         for l in avail:
             offsets[l] += run.count
-    return np.concatenate(out)[:layout.message_symbols]
+    return np.concatenate(out, axis=-1)[..., :layout.message_symbols]
 
 
 def decode(layout: BundleLayout, observed: Mapping[int, Sequence[int]]

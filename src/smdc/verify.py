@@ -1,9 +1,11 @@
 """Exhaustive verification of small code instances.
 
 The verifier enumerates every (source, key) combination of a code,
-builds the exact joint distribution of sources and shares as integer
-counts over a common denominator, and then decides statements about it
-with no floating point in the decision path:
+pushing them through its encoder in batches of words (for the package's
+own codes, the shipped array codec that writes share files), builds the
+exact joint distribution of sources and shares as integer counts over a
+common denominator, and then decides statements about it with no
+floating point in the decision path:
 
 * perfect secrecy against a tap subset is exact factorization of the
   joint distribution of (sources, tapped shares);
@@ -22,13 +24,16 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import lcm, log2
 from typing import Callable, Mapping, Sequence
 
-from .errors import BudgetExceededError, ParameterError
-from .fields import solve_linear_int
-from .multilevel import SmdcLayout
+import numpy as np
+
+from . import multilevel, single_level
+from .errors import BudgetExceededError, DecodeFailureError, ParameterError
+from .multilevel import SmdcLayout, SmdcShareBundle
+from .randomness import SequenceSymbolSource
 from .single_level import BundleLayout
 
 # --- exact log-combination values ---------------------------------------------
@@ -125,11 +130,14 @@ class VerifierBudget:
 
 @dataclass(frozen=True)
 class CodeUnderTest:
-    """Deterministic code the verifier can enumerate.
+    """Deterministic code the verifier can enumerate, one batch of words
+    at a time.
 
-    encode_fn(sources, key) takes per-source symbol tuples and a flat
-    key tuple and returns one symbol tuple per encoder.  decode_fn takes
-    {encoder: symbols} and returns the decodable leading sources.
+    encode_fn(sources, keys) takes a tuple of (W, h_k) source arrays and
+    a (W, key_symbols) key array, row i being word i, and returns one
+    (W, n) share array per encoder (or, for a multilevel code, one tuple
+    of per-level arrays per encoder).  decode_fn takes {encoder: batch}
+    and returns the decodable leading sources as (W, h_k) batches.
     expected_sources says how many leading sources a subset of a given
     size must deliver.
     """
@@ -139,7 +147,7 @@ class CodeUnderTest:
     wiretap: int
     source_symbols: tuple[int, ...]
     key_symbols: int
-    encode_fn: Callable[[tuple, tuple], tuple]
+    encode_fn: Callable[[tuple, np.ndarray], tuple]
     decode_fn: Callable[[dict], tuple]
     expected_sources: Callable[[int], int]
 
@@ -151,7 +159,11 @@ class CodeUnderTest:
 @dataclass(frozen=True)
 class JointDistribution:
     """Integer counts over outcomes (sources, shares); every (source,
-    key) pair contributes one count, so total = q ** (symbols + keys)."""
+    key) pair contributes one count, so total = q ** (symbols + keys).
+
+    `sources` and `shares` keep the batches of every word, in word
+    order, in the shapes encode_fn takes and returns.
+    """
 
     q: int
     length: int
@@ -159,10 +171,41 @@ class JointDistribution:
     source_symbols: tuple[int, ...]
     counts: Mapping[tuple, int]
     total: int
+    sources: tuple
+    shares: tuple
+
+
+# Words per encode_fn call: big enough that a call costs little per word,
+# small enough that a chunk's Python tuples stay a few MB.
+CHUNK_WORDS = 4096
+
+
+def _rows(batch) -> list[tuple]:
+    """Per-word tuples of Python ints from a (W, n) array, or from a tuple
+    nesting such arrays (then each word gets the same nesting)."""
+    if isinstance(batch, tuple):
+        return list(zip(*map(_rows, batch)))
+    return list(map(tuple, np.asarray(batch).tolist()))
+
+
+def _word(batch, i: int):
+    """Word i of a batch, shaped as _rows shapes it."""
+    if isinstance(batch, tuple):
+        return tuple(_word(part, i) for part in batch)
+    return tuple(np.asarray(batch)[i].tolist())
+
+
+def _concat(chunks: list):
+    """Join chunk batches that share one nesting of tuples and arrays."""
+    if isinstance(chunks[0], tuple):
+        return tuple(_concat(list(parts)) for parts in zip(*chunks))
+    return np.concatenate(chunks)
 
 
 def enumerate_joint(code: CodeUnderTest,
                     budget: VerifierBudget = VerifierBudget()) -> JointDistribution:
+    """Push every (source, key) word through the code in lexicographic
+    order, CHUNK_WORDS words per encode_fn call."""
     n_outcomes = code.outcome_count
     if n_outcomes > budget.max_outcomes:
         raise BudgetExceededError(
@@ -177,19 +220,26 @@ def enumerate_joint(code: CodeUnderTest,
     for h in code.source_symbols:
         cuts.append((at, at + h))
         at += h
+    # digit weights of a word's index, most significant first: the order
+    # of itertools.product (np.unravel_index refuses the empty word)
+    weights = code.q ** np.arange(src_total + code.key_symbols - 1, -1, -1,
+                                  dtype=np.int64)
     counts: dict[tuple, int] = {}
-    tick = 0
-    for word in product(range(code.q), repeat=src_total + code.key_symbols):
-        sources = tuple(word[a:b] for a, b in cuts)
-        key = word[src_total:]
-        shares = code.encode_fn(sources, key)
-        outcome = (sources, shares)
-        counts[outcome] = counts.get(outcome, 0) + 1
-        tick += 1
-        if deadline is not None and tick % 4096 == 0 and time.monotonic() > deadline:
+    chunks = []
+    for start in range(0, n_outcomes, CHUNK_WORDS):
+        if start and deadline is not None and time.monotonic() > deadline:
             raise BudgetExceededError("verification time budget exhausted")
+        index = np.arange(start, min(start + CHUNK_WORDS, n_outcomes))
+        words = index[:, None] // weights % code.q
+        sources = tuple(words[:, a:b] for a, b in cuts)
+        shares = code.encode_fn(sources, words[:, src_total:])
+        for outcome in zip(_rows(sources), _rows(shares)):
+            counts[outcome] = counts.get(outcome, 0) + 1
+        chunks.append((sources, shares))
+    sources, shares = _concat(chunks)
     return JointDistribution(code.q, code.length, code.wiretap,
-                             code.source_symbols, counts, n_outcomes)
+                             code.source_symbols, counts, n_outcomes,
+                             sources, shares)
 
 
 # --- secrecy and reconstruction ----------------------------------------------------
@@ -247,16 +297,25 @@ class ReconstructionReport:
 
 def check_reconstruction(code: CodeUnderTest, dist: JointDistribution,
                          subset, expected: int | None = None) -> ReconstructionReport:
+    """Decode every word from `subset` in one call; report the first
+    word, in word order, whose leading sources come back wrong."""
     subset = tuple(sorted(set(int(l) for l in subset)))
     if expected is None:
         expected = code.expected_sources(len(subset))
-    for (sources, shares), _ in dist.counts.items():
-        observed = {l: shares[l - 1] for l in subset}
-        got = code.decode_fn(observed)
-        if len(got) < expected or tuple(got[:expected]) != sources[:expected]:
-            return ReconstructionReport(subset, expected, False, {
-                "sources": sources, "decoded": tuple(got)})
-    return ReconstructionReport(subset, expected, True)
+    try:
+        got = code.decode_fn({l: dist.shares[l - 1] for l in subset})
+    except DecodeFailureError as exc:
+        return ReconstructionReport(subset, expected, False,
+                                    {"error": str(exc)})
+    wrong = np.full(dist.total, len(got) < expected)
+    for decoded, sources in zip(got[:expected], dist.sources):
+        wrong |= (np.asarray(decoded) != sources).any(axis=1)
+    if not wrong.any():
+        return ReconstructionReport(subset, expected, True)
+    first = int(np.argmax(wrong))
+    return ReconstructionReport(subset, expected, False, {
+        "sources": _word(dist.sources, first),
+        "decoded": _word(tuple(got), first)})
 
 
 # --- entropies ------------------------------------------------------------------
@@ -381,90 +440,22 @@ def check_prop2_inequality(dist: JointDistribution, level: int,
 # --- code adapters -------------------------------------------------------------
 
 
-def _compile_runs(layout: BundleLayout):
-    """Flatten a layout into per-run tables for tight enumeration loops."""
-    params = layout.params
-    f = params.field
-    runs = []
-    for run in layout.runs:
-        spec = params.run_spec(run.active, run.size)
-        from .coset import generator_matrix  # local to avoid cycle at import
-
-        gen = generator_matrix(spec)
-        runs.append((run, spec, gen))
-    return params, f, runs
-
-
 def code_for_layout(layout: BundleLayout) -> CodeUnderTest:
-    """Adapter for a single-source layout, with caching decoders."""
-    params, f, runs = _compile_runs(layout)
-    add, mul = f.add, f.mul
-    wiretap = params.wiretap
-    padded = layout.padded_symbols
+    """A single-source layout, run through the shipped array codec."""
+    params = layout.params
 
-    def encode_fn(sources: tuple, key: tuple) -> tuple:
-        msg = sources[0] + (0,) * (padded - len(sources[0]))
-        payloads = [[] for _ in range(params.length)]
-        mo = 0
-        ko = 0
-        for run, spec, gen in runs:
-            for _ in range(run.count):
-                x = key[ko:ko + wiretap] + msg[mo:mo + run.size]
-                ko += wiretap
-                mo += run.size
-                for pos, l in enumerate(run.active):
-                    acc = 0
-                    for c, v in zip(gen[pos], x):
-                        acc = add(acc, mul(c, v))
-                    payloads[l - 1].append(acc)
-        return tuple(tuple(p) for p in payloads)
-
-    decoders: dict[tuple[int, ...], list] = {}
-
-    def _decoder_tables(subset: tuple[int, ...]):
-        tables = []
-        for run, spec, gen in runs:
-            avail = [l for l in run.active if l in subset]
-            need = wiretap + run.size
-            if len(avail) < need:
-                raise ParameterError(
-                    f"subset {subset} cannot decode a run over {run.active}")
-            use = avail[:need]
-            rows = [list(gen[run.active.index(l)]) for l in use]
-            inv_cols = []
-            for j in range(need):
-                e = [0] * need
-                e[j] = 1
-                inv_cols.append(solve_linear_int(f, rows, e))
-            inv = [[inv_cols[j][i] for j in range(need)] for i in range(need)]
-            tables.append((run, use, inv))
-        return tables
+    def encode_fn(sources: tuple, keys: np.ndarray) -> tuple:
+        bundle = single_level.encode_arrays(layout, sources[0],
+                                            SequenceSymbolSource(keys))
+        return tuple(bundle.payloads[l] for l in range(1, params.length + 1))
 
     def decode_fn(observed: dict) -> tuple:
-        subset = tuple(sorted(observed))
-        if len(subset) < params.threshold:
+        if len(observed) < params.threshold:
             return ()
-        if subset not in decoders:
-            decoders[subset] = _decoder_tables(subset)
-        offsets = {l: 0 for l in subset}
-        out = []
-        for run, use, inv in decoders[subset]:
-            for _ in range(run.count):
-                vals = [observed[l][offsets[l]] for l in use]
-                x = []
-                for row in inv:
-                    acc = 0
-                    for c, v in zip(row, vals):
-                        acc = add(acc, mul(c, v))
-                    x.append(acc)
-                out.extend(x[wiretap:])
-                for l in run.active:
-                    if l in offsets:
-                        offsets[l] += 1
-        return (tuple(out[:layout.message_symbols]),)
+        return (single_level.decode_arrays(layout, observed),)
 
     return CodeUnderTest(
-        q=f.order, length=params.length, wiretap=wiretap,
+        q=params.field.order, length=params.length, wiretap=params.wiretap,
         source_symbols=(layout.message_symbols,),
         key_symbols=layout.key_symbols,
         encode_fn=encode_fn, decode_fn=decode_fn,
@@ -472,35 +463,25 @@ def code_for_layout(layout: BundleLayout) -> CodeUnderTest:
 
 
 def code_for_multilevel(layout: SmdcLayout) -> CodeUnderTest:
+    """A multilevel layout, run through the shipped multilevel codec; the
+    levels' declared rates make the encoder plan this very layout."""
     params = layout.params
-    level_codes = [code_for_layout(level) for level in layout.levels]
-    key_cuts = []
-    at = 0
-    for level in layout.levels:
-        key_cuts.append((at, at + level.key_symbols))
-        at += level.key_symbols
+    rates = [level.declared_rates for level in layout.levels]
 
-    def encode_fn(sources: tuple, key: tuple) -> tuple:
-        payloads = [[] for _ in range(params.length)]
-        for code, (a, b), src in zip(level_codes, key_cuts, sources):
-            shares = code.encode_fn((src,), key[a:b])
-            for l in range(params.length):
-                payloads[l].append(shares[l])
-        return tuple(tuple(p) for p in payloads)
+    def encode_fn(sources: tuple, keys: np.ndarray) -> tuple:
+        bundle = multilevel.encode_arrays(
+            params, sources, SequenceSymbolSource(keys), rates)
+        return tuple(bundle.payloads[l] for l in range(1, params.length + 1))
 
     def decode_fn(observed: dict) -> tuple:
-        depth = min(len(observed) - params.wiretap, params.source_count)
-        out = []
-        for k in range(depth):
-            level_obs = {l: shares[k] for l, shares in observed.items()}
-            got = level_codes[k].decode_fn(level_obs)
-            out.append(got[0])
-        return tuple(out)
+        if len(observed) <= params.wiretap:
+            return ()
+        return multilevel.decode_arrays(SmdcShareBundle(layout, observed))
 
     return CodeUnderTest(
         q=params.field.order, length=params.length, wiretap=params.wiretap,
         source_symbols=params.source_lengths,
-        key_symbols=at,
+        key_symbols=sum(level.key_symbols for level in layout.levels),
         encode_fn=encode_fn, decode_fn=decode_fn,
         expected_sources=lambda size: max(
             0, min(size - params.wiretap, params.source_count)))
@@ -517,26 +498,20 @@ def product_code(code: CodeUnderTest, copies: int) -> CodeUnderTest:
     n_src = len(code.source_symbols)
     per_key = code.key_symbols
 
-    def encode_fn(sources: tuple, key: tuple) -> tuple:
-        payloads = [[] for _ in range(code.length)]
-        for i in range(copies):
-            shares = code.encode_fn(
-                sources[i * n_src:(i + 1) * n_src],
-                key[i * per_key:(i + 1) * per_key])
-            for l in range(code.length):
-                payloads[l].append(shares[l])
-        return tuple(tuple(p) for p in payloads)
+    def encode_fn(sources: tuple, keys: np.ndarray) -> tuple:
+        uses = [code.encode_fn(sources[i * n_src:(i + 1) * n_src],
+                               keys[:, i * per_key:(i + 1) * per_key])
+                for i in range(copies)]
+        return tuple(zip(*uses))
 
     def decode_fn(observed: dict) -> tuple:
         out = []
-        done = True
         for i in range(copies):
             got = code.decode_fn({l: sh[i] for l, sh in observed.items()})
             if len(got) != n_src:
-                done = False
-                break
+                return ()
             out.extend(got)
-        return tuple(out) if done else ()
+        return tuple(out)
 
     def expected(size: int) -> int:
         per = code.expected_sources(size)

@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from smdc.errors import FieldMismatchError, ParameterError, SingularMatrixError
+from smdc.errors import ParameterError, SingularMatrixError
 from smdc.fields import (
     FieldSpec,
     array_matmul,
@@ -14,9 +14,7 @@ from smdc.fields import (
     matrix_inverse,
     matrix_rank,
     prime_field,
-    solve_linear,
     solve_linear_int,
-    vandermonde,
     vandermonde_int,
 )
 
@@ -163,28 +161,6 @@ def test_pow_matches_repeated_multiplication():
         assert f.mul(f.pow(a, -2), f.pow(a, 2)) == 1
 
 
-# --- element wrapper ----------------------------------------------------------
-
-def test_element_operators():
-    f = prime_field(5)
-    a, b = f.element(3), f.element(4)
-    assert int(a + b) == 2
-    assert int(a * b) == 2
-    assert int(a - b) == 4
-    assert int(a / b) == int(a * b.inverse())
-    assert int(-a) == 2
-    assert int(a ** 3) == 2  # 27 mod 5
-
-
-def test_element_rejects_cross_field_math():
-    a = prime_field(5).element(3)
-    b = prime_field(7).element(3)
-    with pytest.raises(FieldMismatchError):
-        _ = a + b
-    with pytest.raises(ParameterError):
-        prime_field(5).element(5)
-
-
 # --- linear solving -----------------------------------------------------------
 
 def test_solve_linear_frozen_case():
@@ -192,10 +168,6 @@ def test_solve_linear_frozen_case():
     v = vandermonde_int(f, [1, 2], 2)
     assert v == [[1, 1], [1, 2]]
     assert solve_linear_int(f, v, [0, 3]) == [2, 3]
-    # element-typed front end agrees
-    xs = solve_linear([[f.element(1), f.element(1)], [f.element(1), f.element(2)]],
-                      [f.element(0), f.element(3)])
-    assert [int(x) for x in xs] == [2, 3]
 
 
 def test_solve_linear_singular_raises():
@@ -227,8 +199,6 @@ def test_solve_linear_random_round_trip():
 def test_vandermonde_rejects_duplicates():
     with pytest.raises(ParameterError):
         vandermonde_int(prime_field(5), [1, 1], 2)
-    with pytest.raises(ParameterError):
-        vandermonde([1, 2], 2)  # no field information anywhere
 
 
 # --- Vandermonde minors ---------------------------------------------------------

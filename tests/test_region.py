@@ -74,7 +74,10 @@ def test_region_symbolic_membership():
 
 
 def test_min_sum_rate_formula_and_lp_agree():
-    # cross_check=True reruns the LP internally and raises on mismatch
+    for length, k, h in ((3, 2, F(5, 4)), (6, 4, 1), (4, 1, F(2, 7))):
+        res = region(length, k, h).lp_minimum([1] * length)
+        assert res.status == OPTIMAL
+        assert min_sum_rate(length, k, h) == res.objective
     assert min_sum_rate(3, 2, F(5, 4)) == F(3, 2) * F(5, 4)
     assert min_sum_rate(6, 4, 1) == F(3, 2)
     assert min_sum_rate(4, 1, F(2, 7)) == F(8, 7)

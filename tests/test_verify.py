@@ -10,8 +10,11 @@ import math
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
+from smdc import single_level
+from smdc.cli import EXIT_VERIFY_FAILED, entry
 from smdc.errors import BudgetExceededError, ParameterError
 from smdc.fields import GF5, prime_field
 from smdc.multilevel import SmdcParams, plan as multilevel_plan, encode as multilevel_encode
@@ -42,17 +45,17 @@ HAND_TABLE = {
 
 
 def hand_code() -> CodeUnderTest:
-    def encode_fn(sources, key):
-        (s,) = sources[0]
-        (k,) = key
-        return (((k + s) % 3,), ((k + 2 * s) % 3,))
+    # batches: sources[0] and keys are (W, 1) arrays, one row per word
+    def encode_fn(sources, keys):
+        s, k = sources[0], keys
+        return ((k + s) % 3, (k + 2 * s) % 3)
 
     def decode_fn(observed):
         if len(observed) < 2:
             return ()
-        x1, x2 = observed[1][0], observed[2][0]
+        x1, x2 = observed[1], observed[2]
         s = (x2 - x1) % 3          # (x2 - x1) = s mod 3
-        return ((s,),)
+        return (s,)
 
     return CodeUnderTest(q=3, length=2, wiretap=1, source_symbols=(1,),
                          key_symbols=1, encode_fn=encode_fn,
@@ -62,7 +65,7 @@ def hand_code() -> CodeUnderTest:
 
 def leaky_code() -> CodeUnderTest:
     # no key at all: every share is the message itself
-    def encode_fn(sources, key):
+    def encode_fn(sources, keys):
         return (sources[0], sources[0])
 
     return CodeUnderTest(q=5, length=2, wiretap=1, source_symbols=(1,),
@@ -158,9 +161,9 @@ def test_exact_log_sum_arithmetic_and_sign():
 def test_budget_refusal_happens_before_any_encoding():
     calls = []
 
-    def encode_fn(sources, key):
+    def encode_fn(sources, keys):
         calls.append(1)
-        return ((), ())
+        return (np.zeros((len(keys), 0)),) * 2
 
     big = CodeUnderTest(q=5, length=2, wiretap=1, source_symbols=(3,),
                         key_symbols=3, encode_fn=encode_fn,
@@ -175,7 +178,8 @@ def test_budget_refusal_happens_before_any_encoding():
 def test_time_budget_interrupts_enumeration():
     big = CodeUnderTest(q=7, length=2, wiretap=1, source_symbols=(3,),
                         key_symbols=3,
-                        encode_fn=lambda sources, key: ((), ()),
+                        encode_fn=lambda sources, keys:
+                            (np.zeros((len(keys), 0)),) * 2,
                         decode_fn=lambda observed: (),
                         expected_sources=lambda size: 0)
     with pytest.raises(BudgetExceededError):
@@ -363,3 +367,26 @@ def test_verification_report_flags_a_leak():
     # the leak shows up as lost entropy
     assert (report["secrecy"]["1"]["conditional_entropy_bits"]
             < report["source_entropy_bits"])
+
+
+def test_verdict_is_about_the_shipped_encoder(monkeypatch, capsys):
+    # a leak injected into the codec that writes share files must show up
+    # in the verdict: with every key zeroed, each share is a function of
+    # the sources alone
+    real = single_level.encode_blocks
+    monkeypatch.setattr(single_level, "encode_blocks",
+                        lambda spec, blocks, keys:
+                            real(spec, blocks, np.zeros_like(keys)))
+    layout = multilevel_plan(SmdcParams(GF5, 3, 1, (1, 1)))
+    report = verification_report(code_for_multilevel(layout))
+    assert not report["ok"]
+    assert set(report["secrecy"]) == {"1", "2", "3"}
+    assert all(not v["ok"] and v["counterexample"] is not None
+               for v in report["secrecy"].values())
+    # zero keys still give codewords, so every subset still decodes
+    assert set(report["reconstruction"]) == {"1,2", "1,3", "2,3", "1,2,3"}
+    assert all(v["ok"] for v in report["reconstruction"].values())
+    code = entry(["verify", "--L", "3", "--N", "1",
+                  "--source-lengths", "1,1", "--field", "5"])
+    assert code == EXIT_VERIFY_FAILED
+    assert '"ok": false' in capsys.readouterr().out
