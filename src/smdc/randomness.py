@@ -119,8 +119,9 @@ def as_symbol_source(source):
     """
     if source is None:
         return SystemSymbolSource()
-    if isinstance(source, (int, np.random.Generator)):
-        return RandomSymbolSource(source)
+    # ready sources first: naming np.random imports it (about 17 ms)
     if hasattr(source, "draw"):
         return source
+    if isinstance(source, (int, np.random.Generator)):
+        return RandomSymbolSource(source)
     raise ParameterError(f"cannot interpret {source!r} as a symbol source")

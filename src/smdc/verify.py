@@ -32,9 +32,7 @@ import numpy as np
 
 from . import multilevel, single_level
 from .errors import BudgetExceededError, DecodeFailureError, ParameterError
-from .multilevel import SmdcLayout, SmdcShareBundle
 from .randomness import SequenceSymbolSource
-from .single_level import BundleLayout
 
 # --- exact log-combination values ---------------------------------------------
 
@@ -440,7 +438,7 @@ def check_prop2_inequality(dist: JointDistribution, level: int,
 # --- code adapters -------------------------------------------------------------
 
 
-def code_for_layout(layout: BundleLayout) -> CodeUnderTest:
+def code_for_layout(layout: single_level.BundleLayout) -> CodeUnderTest:
     """A single-source layout, run through the shipped array codec."""
     params = layout.params
 
@@ -462,7 +460,7 @@ def code_for_layout(layout: BundleLayout) -> CodeUnderTest:
         expected_sources=lambda size: 1 if size >= params.threshold else 0)
 
 
-def code_for_multilevel(layout: SmdcLayout) -> CodeUnderTest:
+def code_for_multilevel(layout: multilevel.SmdcLayout) -> CodeUnderTest:
     """A multilevel layout, run through the shipped multilevel codec; the
     levels' declared rates make the encoder plan this very layout."""
     params = layout.params
@@ -476,7 +474,8 @@ def code_for_multilevel(layout: SmdcLayout) -> CodeUnderTest:
     def decode_fn(observed: dict) -> tuple:
         if len(observed) <= params.wiretap:
             return ()
-        return multilevel.decode_arrays(SmdcShareBundle(layout, observed))
+        return multilevel.decode_arrays(
+            multilevel.SmdcShareBundle(layout, observed))
 
     return CodeUnderTest(
         q=params.field.order, length=params.length, wiretap=params.wiretap,
