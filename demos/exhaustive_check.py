@@ -8,10 +8,11 @@ Run: python3 demos/exhaustive_check.py
 
 from fractions import Fraction
 
+from smdc.coset import CosetCodeSpec
 from smdc.fields import GF5
 from smdc.multilevel import SmdcParams
 from smdc.multilevel import plan as multilevel_plan
-from smdc.single_level import SsdcParams, symmetric_layout
+from smdc.single_level import symmetric_layout
 from smdc.verify import (CodeUnderTest, check_perfect_secrecy,
                          check_prop2_inequality, check_reconstruction,
                          conditional_entropy, code_for_layout,
@@ -36,7 +37,7 @@ print("=" * 64)
 print("STAGE 1: enumerate a (3, 1, 2) code over GF(5), 1 symbol")
 print("=" * 64)
 
-layout = symmetric_layout(SsdcParams(GF5, 3, 1, 2), 1)
+layout = symmetric_layout(CosetCodeSpec(GF5, 3, 1, 2), 1)
 code = code_for_layout(layout)
 dist = enumerate_joint(code)
 print(f"\noutcomes enumerated: {dist.total} "
@@ -127,7 +128,7 @@ print("=" * 64)
 print("STAGE 4: the whole audit in one call")
 print("=" * 64)
 
-layout5 = symmetric_layout(SsdcParams(GF5, 3, 1, 2), 1)
+layout5 = symmetric_layout(CosetCodeSpec(GF5, 3, 1, 2), 1)
 report = verification_report(code_for_layout(layout5))
 print(f"\nreport: q={report['q']} outcomes={report['outcomes']} "
       f"ok={report['ok']}")

@@ -27,6 +27,11 @@ def check(name, condition, detail=""):
         failed += 1
 
 
+def as_tuples(arrays):
+    """Symbol arrays as tuples of ints, one per source."""
+    return tuple(tuple(a.tolist()) for a in arrays)
+
+
 F = Fraction
 
 print("=" * 64)
@@ -40,7 +45,7 @@ bundle = encode(params, sources, source=20260819)
 
 print(f"\nsources: {sources}")
 for l in range(1, 5):
-    parts = bundle.payloads[l]
+    parts = as_tuples(bundle.payloads[l])
     print(f"encoder {l} carries {parts} "
           f"({sum(len(p) for p in parts)} symbols)")
 
@@ -54,7 +59,7 @@ check("symmetric layout emits 3 symbols per encoder",
 print("\n-- decoding depth grows with the subset --")
 for size in (2, 3, 4):
     for subset in combinations(range(1, 5), size):
-        got = decode(bundle, subset)
+        got = as_tuples(decode(bundle, subset))
         want = tuple(tuple(s) for s in sources[:size - 1])
         check(f"{subset} recovers sources 1..{size - 1}", got == want,
               f"{got}")
@@ -62,7 +67,7 @@ for size in (2, 3, 4):
 
 print("\n-- every 3-subset, not just the first --")
 check("all four 3-subsets agree",
-      all(decode(bundle, s) == ((6,), (1, 2))
+      all(as_tuples(decode(bundle, s)) == ((6,), (1, 2))
           for s in combinations(range(1, 5), 3)))
 
 print("\n-- one share is below the wiretap threshold --")
@@ -79,7 +84,7 @@ story = [
     ((2, 4), 1, "encoders 1 and 3 offline"),
 ]
 for subset, depth, label in story:
-    got = decode(bundle, subset)
+    got = as_tuples(decode(bundle, subset))
     print(f"  {label}: shares {subset} -> "
           f"{['source ' + str(k + 1) for k in range(len(got))]}")
     check(f"{label} yields {depth} source(s)", len(got) == depth)

@@ -7,12 +7,12 @@ Run: python3 demos/splitting.py
 
 from itertools import combinations, product
 
+from smdc.coset import CosetCodeSpec
 from smdc.errors import InsufficientSharesError
 from smdc.fields import GF5, GF256
 from smdc.randomness import SequenceSymbolSource
 from smdc.shareio import join_files, split_files
-from smdc.single_level import (SsdcParams, decode, encode_symmetric,
-                               encode_with_layout, symmetric_layout)
+from smdc.single_level import decode, encode_with_layout, symmetric_layout
 
 passed = 0
 failed = 0
@@ -33,19 +33,19 @@ print("Splitting a message across 4 encoders: any 3 rebuild it,")
 print("any single tap sees pure noise.  (L, N, m) = (4, 1, 3), GF(5).")
 print("=" * 64)
 
-params = SsdcParams(GF5, length=4, wiretap=1, threshold=3)
+params = CosetCodeSpec(GF5, length=4, wiretap=1, threshold=3)
 message = [2, 4, 1, 0]
-bundle = encode_symmetric(params, message, source=7)
-layout = bundle.layout
+layout = symmetric_layout(params, len(message))
+bundle = encode_with_layout(layout, message, source=7)
 
 print(f"\nmessage: {message}")
 for l in range(1, 5):
-    print(f"encoder {l} stores {bundle.payloads[l]}")
+    print(f"encoder {l} stores {tuple(bundle.payloads[l].tolist())}")
 
 print("\n-- reconstruction from every 3-subset --")
 for subset in combinations(range(1, 5), 3):
     observed = {l: bundle.payloads[l] for l in subset}
-    check(f"decode from {subset}", decode(layout, observed) == tuple(message))
+    check(f"decode from {subset}", decode(layout, observed).tolist() == message)
 
 print("\n-- two shares are one too few --")
 try:
@@ -57,11 +57,11 @@ except InsufficientSharesError as exc:
 print("\n-- a tap on one encoder learns nothing --")
 # fix the observed share of encoder 1 and count which messages could
 # have produced it: perfect secrecy means all of them, equally often
-layout1 = symmetric_layout(SsdcParams(GF5, 3, 1, 2), 1)
+layout1 = symmetric_layout(CosetCodeSpec(GF5, 3, 1, 2), 1)
 hits = {}
 for msg, key in product(range(5), repeat=2):
     b = encode_with_layout(layout1, [msg], SequenceSymbolSource([key]))
-    hits.setdefault(b.payloads[1], set()).add(msg)
+    hits.setdefault(tuple(b.payloads[1].tolist()), set()).add(msg)
 check("every observed value stays consistent with every message",
       all(consistent == set(range(5)) for consistent in hits.values()),
       f"{hits}")

@@ -14,6 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
+from .coset import CosetCodeSpec
 from .errors import (BudgetExceededError, DecodeFailureError,
                      InsufficientSharesError, ParameterError,
                      RegionViolationError, ShareFormatError, SmdcError)
@@ -22,9 +23,9 @@ from .multilevel import SmdcParams, plan as multilevel_plan
 from .region import (corner_points, min_sum_rate, region,
                      smdc_min_sum_rate, superposition_region,
                      vertices_brute_force, violated_subsets)
-from .shareio import (join_files, read_share, split_files, symbols_per_byte,
-                      write_share, _atomic_write)
-from .single_level import SsdcParams, symmetric_layout
+from .shareio import (field_to_id, join_files, read_share, split_files,
+                      symbols_per_byte, write_share, _atomic_write)
+from .single_level import symmetric_layout
 from .verify import (VerifierBudget, code_for_layout, code_for_multilevel,
                      verification_report)
 from .wiretap import (WiretapNetwork, achievable_secrecy_rate,
@@ -39,6 +40,7 @@ EXIT_IO = 5
 
 
 def _parse_field(text: str) -> FieldSpec:
+    """gf256 (or binary8), or a prime that a share file can carry."""
     if text in ("gf256", "binary8"):
         return binary8_field()
     try:
@@ -46,10 +48,9 @@ def _parse_field(text: str) -> FieldSpec:
     except ValueError:
         raise ParameterError(
             f"field must be 'gf256' or a prime up to 251, got {text!r}")
-    if not (_is_prime(p) and p <= 251):
-        raise ParameterError(
-            f"prime share fields must satisfy p <= 251, got {p}")
-    return prime_field(p)
+    field = prime_field(p)
+    field_to_id(field)
+    return field
 
 
 def _parse_fractions(text: str) -> list[Fraction]:
@@ -286,7 +287,10 @@ def _cmd_wn(args) -> int:
     }
     code = EXIT_OK
     if args.entropy is not None:
-        entropy = Fraction(args.entropy)
+        values = _parse_fractions(args.entropy)
+        if len(values) != 1:
+            raise ParameterError("--entropy takes one value")
+        entropy = values[0]
         supported = admissible_by_separation(net, entropy)
         report["supports_entropy"] = {"entropy": _pair(entropy),
                                       "ok": supported}
@@ -311,7 +315,8 @@ def _cmd_verify(args) -> int:
         if k < 1:
             raise ParameterError("need threshold > wiretap")
         layout = symmetric_layout(
-            SsdcParams(field, args.length, args.wiretap, args.threshold), k)
+            CosetCodeSpec(field, args.length, args.wiretap, args.threshold),
+            k)
         code = code_for_layout(layout)
     else:
         lengths = _parse_ints(args.source_lengths)

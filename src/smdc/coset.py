@@ -40,7 +40,11 @@ def default_nodes(field: FieldSpec, length: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class CosetCodeSpec:
     """Shape of one code: L outputs, `wiretap` tolerated taps, decode
-    from any `threshold` outputs.  Nodes default to 1..L."""
+    from any `threshold` outputs.  Nodes default to 1..L.
+
+    The same type describes a whole single-source problem and each
+    block code its schedule runs; a block carries `wiretap` key symbols
+    and k = threshold - wiretap message symbols."""
 
     field: FieldSpec
     length: int
@@ -65,11 +69,8 @@ class CosetCodeSpec:
                 raise ParameterError(f"node {v} outside {self.field}")
 
     @property
-    def key_symbols(self) -> int:
-        return self.wiretap
-
-    @property
-    def message_symbols(self) -> int:
+    def k(self) -> int:
+        """Message symbols per block."""
         return self.threshold - self.wiretap
 
 
@@ -119,15 +120,14 @@ def _check_ids(spec: CosetCodeSpec, ids) -> tuple[int, ...]:
 def encode(spec: CosetCodeSpec, message, key) -> tuple[int, ...]:
     """One block: L share symbols from message and key symbols."""
     msg = [int(v) for v in message]
-    k = [int(v) for v in key]
-    if len(msg) != spec.message_symbols:
-        raise ParameterError(
-            f"message block must have {spec.message_symbols} symbols")
-    if len(k) != spec.key_symbols:
-        raise ParameterError(f"key block must have {spec.key_symbols} symbols")
-    for v in k + msg:
+    keys = [int(v) for v in key]
+    if len(msg) != spec.k:
+        raise ParameterError(f"message block must have {spec.k} symbols")
+    if len(keys) != spec.wiretap:
+        raise ParameterError(f"key block must have {spec.wiretap} symbols")
+    for v in keys + msg:
         spec.field._check(v)
-    return tuple(encode_blocks(spec, np.array([msg]), np.array([k]))[0]
+    return tuple(encode_blocks(spec, np.array([msg]), np.array([keys]))[0]
                  .tolist())
 
 
@@ -146,7 +146,7 @@ def decode(spec: CosetCodeSpec, observed) -> tuple[int, ...]:
 def keygen(spec: CosetCodeSpec, source=None) -> tuple[int, ...]:
     """Fresh uniform key symbols for one block."""
     src = as_symbol_source(source)
-    return tuple(int(v) for v in src.draw(spec.field.order, spec.key_symbols))
+    return tuple(int(v) for v in src.draw(spec.field.order, spec.wiretap))
 
 
 # --- bulk block paths ---------------------------------------------------------
@@ -160,7 +160,7 @@ def encode_blocks(spec: CosetCodeSpec, messages: np.ndarray,
     messages = np.asarray(messages)
     keys = np.asarray(keys)
     n = messages.shape[0]
-    if messages.shape != (n, spec.message_symbols) or keys.shape != (n, spec.key_symbols):
+    if messages.shape != (n, spec.k) or keys.shape != (n, spec.wiretap):
         raise ParameterError("block arrays have the wrong shape")
     x = np.concatenate([keys.T, messages.T]).T
     return array_matmul(spec.field, x, _generator_array(spec).T)

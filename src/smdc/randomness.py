@@ -114,14 +114,17 @@ class SequenceSymbolSource:
 def as_symbol_source(source):
     """Accept None, an int seed, a numpy Generator, or a ready source.
 
-    None means fresh system entropy; an int or Generator selects the
-    reproducible path.
+    None means fresh system entropy; a non-negative int or a Generator
+    selects the reproducible path.
     """
     if source is None:
         return SystemSymbolSource()
     # ready sources first: naming np.random imports it (about 17 ms)
     if hasattr(source, "draw"):
         return source
+    if isinstance(source, int) and source < 0:
+        raise ParameterError(f"seed must be a non-negative integer, "
+                             f"got {source}")
     if isinstance(source, (int, np.random.Generator)):
         return RandomSymbolSource(source)
     raise ParameterError(f"cannot interpret {source!r} as a symbol source")

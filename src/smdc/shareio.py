@@ -27,9 +27,7 @@ import numpy as np
 from .errors import (DecodeFailureError, ParameterError, ShareFormatError)
 from .fields import (BINARY8, DEFAULT_BINARY8_POLY, FieldSpec, _is_prime,
                      binary8_field, prime_field)
-from .multilevel import SmdcParams, SmdcShareBundle, plan
-# the array forms: share files never hold tuples of ints
-from .multilevel import decode_arrays as decode, encode_arrays as encode
+from .multilevel import SmdcParams, SmdcShareBundle, decode, encode, plan
 
 MAGIC = b"SMDC"
 VERSION = 1
@@ -77,7 +75,7 @@ def _digit_weights(field: FieldSpec) -> np.ndarray:
     return field.modulus ** np.arange(t - 1, -1, -1, dtype=np.uint32)
 
 
-def bytes_to_symbol_array(field: FieldSpec, data: bytes) -> np.ndarray:
+def bytes_to_symbols(field: FieldSpec, data: bytes) -> np.ndarray:
     """Big endian base-q digits, symbols_per_byte() of them per byte, as
     a uint8 array."""
     raw = np.frombuffer(data, dtype=np.uint8)
@@ -85,11 +83,6 @@ def bytes_to_symbol_array(field: FieldSpec, data: bytes) -> np.ndarray:
         return raw
     weights = _digit_weights(field).astype(np.uint8)
     return ((raw[:, None] // weights) % field.modulus).reshape(-1)
-
-
-def bytes_to_symbols(field: FieldSpec, data: bytes) -> list[int]:
-    """bytes_to_symbol_array as a list of ints."""
-    return bytes_to_symbol_array(field, data).tolist()
 
 
 def symbols_to_bytes(field: FieldSpec, symbols, n_bytes: int) -> bytes:
@@ -126,8 +119,7 @@ class ShareFile:
     payloads: tuple[bytes, ...]
 
     def __post_init__(self):
-        if not 1 <= self.wiretap < self.length <= 255:
-            raise ParameterError("need 1 <= wiretap < length <= 255")
+        _check_geometry(self.length, self.wiretap)
         if not 1 <= self.encoder <= self.length:
             raise ParameterError(f"encoder {self.encoder} out of range")
         expected = self.length - self.wiretap
@@ -142,6 +134,12 @@ class ShareFile:
             raise ParameterError("payload too large for a 4-byte symbol count")
         if any(not 0 <= n <= 0xFFFFFFFFFFFFFFFF for n in self.byte_lengths):
             raise ParameterError("byte length does not fit in 8 bytes")
+
+
+def _check_geometry(length: int, wiretap: int) -> None:
+    # the header stores L and N in one byte each
+    if not 1 <= wiretap < length <= 255:
+        raise ParameterError("need 1 <= wiretap < length <= 255")
 
 
 def _payload_bytes(payload) -> bytes:
@@ -249,8 +247,9 @@ def split_files(field: FieldSpec, length: int, wiretap: int,
                 datas, source=None) -> list[ShareFile]:
     """Encode K = length - wiretap byte strings, priority order, into one
     ShareFile per encoder."""
+    _check_geometry(length, wiretap)
     datas = [bytes(d) for d in datas]
-    sources = [bytes_to_symbol_array(field, d) for d in datas]
+    sources = [bytes_to_symbols(field, d) for d in datas]
     params = SmdcParams(field, length, wiretap,
                         tuple(len(s) for s in sources))
     bundle = encode(params, sources, source)

@@ -11,6 +11,9 @@ adversary-chosen threshold subset misses at most L - t of the actives.
 The usable capacity of the whole schedule equals the sum of the k
 smallest budgets, so every rate tuple inside the admissible region
 schedules successfully, and nothing outside it does.
+
+A layout fixes the rates (symmetric_layout, corner_layout or
+rate_layout); encode_with_layout and decode run it on symbol arrays.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .coset import CosetCodeSpec, decode_blocks, default_nodes, encode_blocks
+from .coset import CosetCodeSpec, decode_blocks, encode_blocks
 from .errors import (
     InfeasibleCornerError,
     InsufficientSharesError,
@@ -30,47 +33,11 @@ from .errors import (
     RegionViolationError,
     SmdcError,
 )
-from .fields import FieldSpec, as_symbols, symbol_dtype
+from .fields import as_symbols, symbol_dtype
 from .randomness import as_symbol_source
 # Membership is decided by sorting (see _check_region); the explicit
 # system stays importable here because perfbench/spans.py traces it.
 from .region import region, violated_subsets  # noqa: F401
-
-
-@dataclass(frozen=True)
-class SsdcParams:
-    """Problem shape: L encoders, reconstruct from any `threshold`,
-    perfect secrecy against any `wiretap`."""
-
-    field: FieldSpec
-    length: int
-    wiretap: int
-    threshold: int
-    nodes: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if not 1 <= self.wiretap < self.threshold <= self.length:
-            raise ParameterError(
-                f"need 1 <= wiretap < threshold <= length, got "
-                f"({self.length}, {self.wiretap}, {self.threshold})")
-        if not self.nodes:
-            object.__setattr__(self, "nodes",
-                               default_nodes(self.field, self.length))
-        if len(self.nodes) != self.length or len(set(self.nodes)) != self.length:
-            raise ParameterError("need one distinct node per encoder")
-        for v in self.nodes:
-            if not 0 <= v < self.field.order:
-                raise ParameterError(f"node {v} outside {self.field}")
-
-    @property
-    def k(self) -> int:
-        """Message symbols carried per full-width block."""
-        return self.threshold - self.wiretap
-
-    def run_spec(self, active: tuple[int, ...], size: int) -> CosetCodeSpec:
-        nodes = tuple(self.nodes[l - 1] for l in active)
-        return CosetCodeSpec(self.field, len(active), self.wiretap,
-                             self.wiretap + size, nodes)
 
 
 @dataclass(frozen=True)
@@ -82,6 +49,14 @@ class BlockRun:
     count: int
 
 
+def _run_spec(params: CosetCodeSpec, run: BlockRun) -> CosetCodeSpec:
+    """The block code of one run: its active encoders' nodes, `size`
+    message symbols per block."""
+    nodes = tuple(params.nodes[l - 1] for l in run.active)
+    return CosetCodeSpec(params.field, len(run.active), params.wiretap,
+                         params.wiretap + run.size, nodes)
+
+
 @dataclass(frozen=True)
 class BundleLayout:
     """Public description of how a message was scheduled.
@@ -90,7 +65,7 @@ class BundleLayout:
     known to the adversary; only key values are secret.
     """
 
-    params: SsdcParams
+    params: CosetCodeSpec
     runs: tuple[BlockRun, ...]
     message_symbols: int
     declared_rates: tuple[Fraction, ...]
@@ -118,14 +93,13 @@ class BundleLayout:
 
 @dataclass(frozen=True)
 class SsdcShareBundle:
-    """payloads[encoder] is that encoder's symbol sequence: a tuple from
-    encode_with_layout, an array from encode_arrays."""
+    """payloads[encoder] is that encoder's symbol array."""
 
     layout: BundleLayout
-    payloads: Mapping[int, Sequence[int]]
+    payloads: Mapping[int, np.ndarray]
 
 
-def _as_rates(params: SsdcParams, rates) -> tuple[Fraction, ...]:
+def _as_rates(params: CosetCodeSpec, rates) -> tuple[Fraction, ...]:
     if len(rates) != params.length:
         raise ParameterError(f"need {params.length} rates")
     out = []
@@ -136,7 +110,8 @@ def _as_rates(params: SsdcParams, rates) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _check_region(params: SsdcParams, rates: tuple[Fraction, ...]) -> None:
+def _check_region(params: CosetCodeSpec,
+                  rates: tuple[Fraction, ...]) -> None:
     """Membership in region(L, k, 1) in O(L log L).
 
     The region is symmetric: every k-subset of the rates sums to at least
@@ -159,7 +134,8 @@ def _check_region(params: SsdcParams, rates: tuple[Fraction, ...]) -> None:
         subset=subset, rates=rates)
 
 
-def rate_layout(params: SsdcParams, message_symbols: int, rates) -> BundleLayout:
+def rate_layout(params: CosetCodeSpec, message_symbols: int,
+                rates) -> BundleLayout:
     """Schedule `message_symbols` symbols at (per-symbol) rates.
 
     Rates are normalized to a unit-entropy message: admissible means
@@ -197,12 +173,13 @@ def rate_layout(params: SsdcParams, message_symbols: int, rates) -> BundleLayout
     return BundleLayout(params, tuple(runs), message_symbols, rates)
 
 
-def symmetric_layout(params: SsdcParams, message_symbols: int) -> BundleLayout:
+def symmetric_layout(params: CosetCodeSpec,
+                     message_symbols: int) -> BundleLayout:
     share = Fraction(1, params.k)
     return rate_layout(params, message_symbols, (share,) * params.length)
 
 
-def corner_layout(params: SsdcParams, message_symbols: int,
+def corner_layout(params: CosetCodeSpec, message_symbols: int,
                   zeros: Sequence[int]) -> BundleLayout:
     """Layout for a corner of the region: the encoders in `zeros` stay
     silent, the rest share the message evenly."""
@@ -219,8 +196,8 @@ def corner_layout(params: SsdcParams, message_symbols: int,
     return rate_layout(params, message_symbols, rates)
 
 
-def encode_arrays(layout: BundleLayout, message, source=None
-                  ) -> SsdcShareBundle:
+def encode_with_layout(layout: BundleLayout, message, source=None
+                       ) -> SsdcShareBundle:
     """Encode a message along its layout; payloads are symbol arrays.
 
     `message` has shape (..., h): leading axes are a batch of messages
@@ -246,7 +223,7 @@ def encode_arrays(layout: BundleLayout, message, source=None
         l: [] for l in range(1, params.length + 1)}
     offset = 0
     for run in layout.runs:
-        spec = params.run_spec(run.active, run.size)
+        spec = _run_spec(params, run)
         take = run.count * run.size
         blocks = msg[..., offset:offset + take].reshape(-1, run.size)
         keys = np.asarray(
@@ -262,34 +239,8 @@ def encode_arrays(layout: BundleLayout, message, source=None
         for l, p in parts.items()})
 
 
-def encode_with_layout(layout: BundleLayout, message: Sequence[int],
-                       source=None) -> SsdcShareBundle:
-    """encode_arrays with payloads as tuples of ints."""
-    bundle = encode_arrays(layout, message, source)
-    return SsdcShareBundle(layout, {l: tuple(p.tolist())
-                                    for l, p in bundle.payloads.items()})
-
-
-def encode_symmetric(params: SsdcParams, message: Sequence[int],
-                     source=None) -> SsdcShareBundle:
-    return encode_with_layout(symmetric_layout(params, len(message)),
-                              message, source)
-
-
-def encode_corner(params: SsdcParams, message: Sequence[int],
-                  zeros: Sequence[int], source=None) -> SsdcShareBundle:
-    return encode_with_layout(corner_layout(params, len(message), zeros),
-                              message, source)
-
-
-def encode_at_rate(params: SsdcParams, message: Sequence[int], rates,
-                   source=None) -> SsdcShareBundle:
-    return encode_with_layout(rate_layout(params, len(message), rates),
-                              message, source)
-
-
-def decode_arrays(layout: BundleLayout, observed: Mapping[int, Sequence[int]]
-                  ) -> np.ndarray:
+def decode(layout: BundleLayout, observed: Mapping[int, Sequence[int]]
+           ) -> np.ndarray:
     """Reconstruct the message from any `threshold` encoder payloads.
 
     Payloads may be int sequences, arrays or bytes (one symbol per byte),
@@ -322,7 +273,7 @@ def decode_arrays(layout: BundleLayout, observed: Mapping[int, Sequence[int]]
     offsets = dict.fromkeys(present, 0)
     out = [np.zeros(batch + (0,), dtype=symbol_dtype(params.field.order))]
     for run in layout.runs:
-        spec = params.run_spec(run.active, run.size)
+        spec = _run_spec(params, run)
         avail = [l for l in run.active if l in payloads]
         local_ids = tuple(run.active.index(l) + 1 for l in avail)
         # stacked first and moved last, so that one unbatched payload's
@@ -336,17 +287,3 @@ def decode_arrays(layout: BundleLayout, observed: Mapping[int, Sequence[int]]
             offsets[l] += run.count
     return np.concatenate(out, axis=-1)[..., :layout.message_symbols]
 
-
-def decode(layout: BundleLayout, observed: Mapping[int, Sequence[int]]
-           ) -> tuple[int, ...]:
-    """decode_arrays, returning the message as a tuple of ints."""
-    return tuple(decode_arrays(layout, observed).tolist())
-
-
-def decode_bundle(bundle: SsdcShareBundle, subset: Sequence[int] | None = None
-                  ) -> tuple[int, ...]:
-    if subset is None:
-        observed = bundle.payloads
-    else:
-        observed = {int(l): bundle.payloads[int(l)] for l in subset}
-    return decode(bundle.layout, observed)

@@ -443,14 +443,14 @@ def code_for_layout(layout: single_level.BundleLayout) -> CodeUnderTest:
     params = layout.params
 
     def encode_fn(sources: tuple, keys: np.ndarray) -> tuple:
-        bundle = single_level.encode_arrays(layout, sources[0],
-                                            SequenceSymbolSource(keys))
+        bundle = single_level.encode_with_layout(layout, sources[0],
+                                                 SequenceSymbolSource(keys))
         return tuple(bundle.payloads[l] for l in range(1, params.length + 1))
 
     def decode_fn(observed: dict) -> tuple:
         if len(observed) < params.threshold:
             return ()
-        return (single_level.decode_arrays(layout, observed),)
+        return (single_level.decode(layout, observed),)
 
     return CodeUnderTest(
         q=params.field.order, length=params.length, wiretap=params.wiretap,
@@ -467,15 +467,14 @@ def code_for_multilevel(layout: multilevel.SmdcLayout) -> CodeUnderTest:
     rates = [level.declared_rates for level in layout.levels]
 
     def encode_fn(sources: tuple, keys: np.ndarray) -> tuple:
-        bundle = multilevel.encode_arrays(
+        bundle = multilevel.encode(
             params, sources, SequenceSymbolSource(keys), rates)
         return tuple(bundle.payloads[l] for l in range(1, params.length + 1))
 
     def decode_fn(observed: dict) -> tuple:
         if len(observed) <= params.wiretap:
             return ()
-        return multilevel.decode_arrays(
-            multilevel.SmdcShareBundle(layout, observed))
+        return multilevel.decode(multilevel.SmdcShareBundle(layout, observed))
 
     return CodeUnderTest(
         q=params.field.order, length=params.length, wiretap=params.wiretap,

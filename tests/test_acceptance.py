@@ -12,6 +12,7 @@ from itertools import combinations, product
 from time import monotonic
 
 from smdc.cli import EXIT_INFEASIBLE, EXIT_OK, entry
+from smdc.coset import CosetCodeSpec
 from smdc.errors import RegionViolationError
 from smdc.exactlp import OPTIMAL
 from smdc.fields import GF5, binary8_field, prime_field
@@ -20,7 +21,7 @@ from smdc.region import (min_sum_rate, rate_var_names, region,
                          smdc_min_sum_rate, superposition_extended_system,
                          superposition_region, corner_points,
                          vertices_brute_force)
-from smdc.single_level import SsdcParams, encode_at_rate, symmetric_layout
+from smdc.single_level import encode_with_layout, rate_layout, symmetric_layout
 from smdc.verify import (check_perfect_secrecy, check_prop2_inequality,
                          check_reconstruction, code_for_layout,
                          code_for_multilevel, enumerate_joint)
@@ -102,7 +103,7 @@ def test_criterion_1_rate_acceptance_matches_region(criterion_report):
         grid = [F(j, 4) for j in range(9)]
         for length, wiretap, threshold, h in SINGLE_LEVEL_INSTANCES:
             k = threshold - wiretap
-            params = SsdcParams(GF5, length, wiretap, threshold)
+            params = CosetCodeSpec(GF5, length, wiretap, threshold)
             unit = region(length, k, 1)
             scaled = region(length, k, F(3, 2))
             message = list(range(1, h + 1))
@@ -113,7 +114,9 @@ def test_criterion_1_rate_acceptance_matches_region(criterion_report):
                 if scaled.contains(bigger) != member:
                     failures.append(f"{point} scales inconsistently")
                 try:
-                    bundle = encode_at_rate(params, message, point, source=0)
+                    bundle = encode_with_layout(
+                        rate_layout(params, len(message), point), message,
+                        source=0)
                     ok = True
                 except RegionViolationError:
                     ok = False
@@ -309,7 +312,7 @@ def test_criterion_7_exhaustive_secrecy(criterion_report):
         failures = []
         passes, leaks = 0, 0
         for length, wiretap, threshold, h in SINGLE_LEVEL_INSTANCES:
-            params = SsdcParams(GF5, length, wiretap, threshold)
+            params = CosetCodeSpec(GF5, length, wiretap, threshold)
             code = code_for_layout(symmetric_layout(params, h))
             dist = enumerate_joint(code)
             encoders = range(1, length + 1)

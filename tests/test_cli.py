@@ -124,6 +124,43 @@ def test_split_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("field", ["4", "256", "257"])
+def test_split_refuses_fields_a_share_file_cannot_carry(tmp_path, capsys,
+                                                        field):
+    a = write(tmp_path / "a", b"12345")
+    b = write(tmp_path / "b", b"678")
+    code = entry(["split", "--L", "3", "--N", "1", "--field", field,
+                  "--out-dir", str(tmp_path / "s"), a, b])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if field == "4":
+        assert "4 is not a usable prime" in err
+    assert not (tmp_path / "s").exists()
+
+
+def test_split_refuses_more_encoders_than_a_share_file_holds(tmp_path,
+                                                             capsys):
+    sources = [write(tmp_path / f"s{k}", b"x") for k in range(255)]
+    code = entry(["split", "--L", "256", "--N", "1",
+                  "--out-dir", str(tmp_path / "out"), *sources])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "need 1 <= wiretap < length <= 255" in err
+    assert "prime above" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_split_refuses_a_negative_seed(tmp_path, capsys):
+    a = write(tmp_path / "a", b"12345")
+    b = write(tmp_path / "b", b"678")
+    code = entry(["split", "--L", "3", "--N", "1", "--seed", "-1",
+                  "--out-dir", str(tmp_path / "s"), a, b])
+    assert code == EXIT_USAGE
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_prime_field_split(tmp_path):
     a = write(tmp_path / "a", bytes(range(256)))
     b = write(tmp_path / "b", b"tail")
@@ -214,6 +251,16 @@ def test_wn_command(capsys):
     assert entry(["wn", "--length", "3", "--wiretap", "1", "--threshold", "2",
                   "--rates", "1,1"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("entropy", ["abc", "1/0"])
+def test_wn_rejects_an_unreadable_entropy(capsys, entropy):
+    code = entry(["wn", "--L", "3", "--N", "1", "--m", "2",
+                  "--rates", "1,1,1", "--entropy", entropy])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot read {entropy!r}")
+    assert captured.out == ""
 
 
 def test_verify_command(capsys):

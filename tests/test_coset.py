@@ -20,7 +20,8 @@ from smdc.errors import (
     ParameterError,
 )
 from smdc.fields import binary8_field, prime_field
-from smdc.randomness import SequenceSymbolSource, SystemSymbolSource
+from smdc.randomness import (SequenceSymbolSource, SystemSymbolSource,
+                             as_symbol_source)
 
 GF5 = prime_field(5)
 GF7 = prime_field(7)
@@ -90,8 +91,8 @@ def test_round_trip_every_shape_and_subset(field):
         for wiretap in range(1, length):
             for threshold in range(wiretap + 1, length + 1):
                 spec = CosetCodeSpec(field, length, wiretap, threshold)
-                msg = [int(v) for v in rng.integers(0, q, spec.message_symbols)]
-                key = [int(v) for v in rng.integers(0, q, spec.key_symbols)]
+                msg = [int(v) for v in rng.integers(0, q, spec.k)]
+                key = [int(v) for v in rng.integers(0, q, spec.wiretap)]
                 shares = encode(spec, msg, key)
                 for ids in combinations(range(1, length + 1), threshold):
                     got = decode(spec, [(i, shares[i - 1]) for i in ids])
@@ -187,14 +188,20 @@ def test_keygen_sequence_source_exhaustion():
         keygen(spec, src)
 
 
+def test_seeds_must_be_non_negative():
+    as_symbol_source(0)
+    with pytest.raises(ParameterError, match="non-negative"):
+        as_symbol_source(-1)
+
+
 @pytest.mark.parametrize("field", [GF5, GF256])
 def test_block_paths_match_scalar_paths(field):
     rng = np.random.default_rng(5150)
     spec = CosetCodeSpec(field, length=4, wiretap=1, threshold=3)
     n = 50
     q = field.order
-    msgs = rng.integers(0, q, size=(n, spec.message_symbols))
-    keys = rng.integers(0, q, size=(n, spec.key_symbols))
+    msgs = rng.integers(0, q, size=(n, spec.k))
+    keys = rng.integers(0, q, size=(n, spec.wiretap))
     shares = encode_blocks(spec, msgs, keys)
     for i in range(n):
         assert tuple(shares[i].tolist()) == encode(

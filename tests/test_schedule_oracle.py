@@ -12,11 +12,11 @@ from math import ceil
 
 import pytest
 
+from smdc.coset import CosetCodeSpec
 from smdc.errors import RegionViolationError, SmdcError
 from smdc.fields import GF5, binary8_field
 from smdc.region import region, violated_subsets
-from smdc.single_level import (BlockRun, BundleLayout, SsdcParams, _as_rates,
-                               rate_layout)
+from smdc.single_level import BlockRun, BundleLayout, _as_rates, rate_layout
 
 F = Fraction
 
@@ -78,7 +78,7 @@ def assert_same(params, h, rates, system=None):
 def test_grid_of_criterion_1_matches_reference():
     accepted = rejected = 0
     for length, wiretap, threshold, h in GRID_INSTANCES:
-        params = SsdcParams(GF5, length, wiretap, threshold)
+        params = CosetCodeSpec(GF5, length, wiretap, threshold)
         system = region(length, params.k, 1)
         for point in product(GRID, repeat=length):
             if assert_same(params, h, point, system):
@@ -97,7 +97,7 @@ def test_seeded_random_rates_up_to_L12_match_reference():
         length = rng.randint(2, 12)
         wiretap = rng.randint(1, length - 1)
         threshold = rng.randint(wiretap + 1, length)
-        params = SsdcParams(binary8_field(), length, wiretap, threshold)
+        params = CosetCodeSpec(binary8_field(), length, wiretap, threshold)
         k = params.k
         # rates near 1/k so that both sides of the boundary come up
         rates = [F(rng.randint(0, 3 * k), rng.randint(1, 3) * k)
@@ -111,14 +111,14 @@ def test_seeded_random_rates_up_to_L12_match_reference():
 
 
 def test_witness_breaks_ties_by_encoder_index():
-    params = SsdcParams(GF5, length=4, wiretap=1, threshold=3)  # k = 2
+    params = CosetCodeSpec(GF5, length=4, wiretap=1, threshold=3)  # k = 2
     with pytest.raises(RegionViolationError) as exc:
         rate_layout(params, 4, (F(1, 3), 1, F(1, 3), F(1, 3)))
     assert exc.value.subset == (1, 3)
 
 
 def test_negative_rate_is_its_own_witness():
-    params = SsdcParams(GF5, length=3, wiretap=1, threshold=2)  # k = 1
+    params = CosetCodeSpec(GF5, length=3, wiretap=1, threshold=2)  # k = 1
     rates = (2, -1, 3)
     assert reference_rate_layout(params, 2, rates) == [(2,), (2,)]
     with pytest.raises(RegionViolationError) as exc:

@@ -14,17 +14,13 @@ from smdc.errors import (
     ParameterError,
     RegionViolationError,
 )
+from smdc.coset import CosetCodeSpec
 from smdc.fields import binary8_field, prime_field
 from smdc.randomness import SequenceSymbolSource
 from smdc.single_level import (
     BlockRun,
-    SsdcParams,
     corner_layout,
     decode,
-    decode_bundle,
-    encode_at_rate,
-    encode_corner,
-    encode_symmetric,
     encode_with_layout,
     rate_layout,
     symmetric_layout,
@@ -35,15 +31,28 @@ GF5 = prime_field(5)
 GF7 = prime_field(7)
 
 
+def symmetric_bundle(params, msg, source):
+    return encode_with_layout(symmetric_layout(params, len(msg)), msg, source)
+
+
+def decoded(bundle, ids=None):
+    """The message decoded from the payloads of `ids` (all by default),
+    as a list of ints."""
+    ids = bundle.payloads if ids is None else ids
+    return decode(bundle.layout,
+                  {l: bundle.payloads[l] for l in ids}).tolist()
+
+
 def test_frozen_minimal_example():
-    params = SsdcParams(GF5, length=2, wiretap=1, threshold=2)
-    bundle = encode_symmetric(params, [3], source=SequenceSymbolSource([2]))
-    assert bundle.payloads == {1: (0,), 2: (3,)}
-    assert decode_bundle(bundle) == (3,)
+    params = CosetCodeSpec(GF5, length=2, wiretap=1, threshold=2)
+    bundle = symmetric_bundle(params, [3], source=SequenceSymbolSource([2]))
+    assert {l: p.tolist() for l, p in bundle.payloads.items()} == \
+        {1: [0], 2: [3]}
+    assert decoded(bundle) == [3]
 
 
 def test_symmetric_layout_shape_and_padding():
-    params = SsdcParams(GF5, length=3, wiretap=1, threshold=3)  # k = 2
+    params = CosetCodeSpec(GF5, length=3, wiretap=1, threshold=3)  # k = 2
     layout = symmetric_layout(params, 3)
     assert layout.runs == (BlockRun((1, 2, 3), 2, 2),)
     assert layout.padded_symbols == 4
@@ -53,14 +62,14 @@ def test_symmetric_layout_shape_and_padding():
 
 
 def test_padding_is_transparent_to_decode():
-    params = SsdcParams(GF5, length=3, wiretap=1, threshold=3)
+    params = CosetCodeSpec(GF5, length=3, wiretap=1, threshold=3)
     msg = [1, 4, 2]
-    bundle = encode_symmetric(params, msg, source=7)
-    assert decode_bundle(bundle) == tuple(msg)
+    bundle = symmetric_bundle(params, msg, source=7)
+    assert decoded(bundle) == msg
 
 
 def test_uneven_rate_schedule_shape():
-    params = SsdcParams(GF5, length=4, wiretap=1, threshold=3)  # k = 2
+    params = CosetCodeSpec(GF5, length=4, wiretap=1, threshold=3)  # k = 2
     layout = rate_layout(params, 4, (1, F(1, 4), F(3, 4), 1))
     assert layout.runs == (BlockRun((1, 2, 3, 4), 2, 1),
                            BlockRun((1, 3, 4), 1, 2))
@@ -70,19 +79,19 @@ def test_uneven_rate_schedule_shape():
 
 
 def test_rate_layout_rejects_outside_region_with_witness():
-    params = SsdcParams(GF5, length=3, wiretap=1, threshold=2)  # k = 1
+    params = CosetCodeSpec(GF5, length=3, wiretap=1, threshold=2)  # k = 1
     h = 2
     with pytest.raises(RegionViolationError) as exc:
         rate_layout(params, h, (1, F(1, 2), 1))
     assert exc.value.subset == (2,)
-    params2 = SsdcParams(GF5, length=4, wiretap=1, threshold=3)
+    params2 = CosetCodeSpec(GF5, length=4, wiretap=1, threshold=3)
     with pytest.raises(RegionViolationError) as exc2:
         rate_layout(params2, h, (1, F(1, 3), F(1, 2), 1))
     assert exc2.value.subset == (2, 3)
 
 
 def test_rate_layout_rejects_floats_and_bad_width():
-    params = SsdcParams(GF5, length=2, wiretap=1, threshold=2)
+    params = CosetCodeSpec(GF5, length=2, wiretap=1, threshold=2)
     with pytest.raises(ParameterError):
         rate_layout(params, 2, (1.0, 1.0))
     with pytest.raises(ParameterError):
@@ -93,13 +102,13 @@ def test_rate_layout_rejects_floats_and_bad_width():
                                    (4, 1, 3), (4, 2, 3), (5, 2, 4)])
 def test_symmetric_round_trip_all_subsets(shape):
     length, wiretap, threshold = shape
-    params = SsdcParams(GF7, length, wiretap, threshold)
+    params = CosetCodeSpec(GF7, length, wiretap, threshold)
     rng = np.random.default_rng(31)
     msg = [int(v) for v in rng.integers(0, 7, size=5)]
-    bundle = encode_symmetric(params, msg, source=rng)
+    bundle = symmetric_bundle(params, msg, source=rng)
     for ids in combinations(range(1, length + 1), threshold):
-        assert decode_bundle(bundle, ids) == tuple(msg)
-    assert decode_bundle(bundle) == tuple(msg)
+        assert decoded(bundle, ids) == msg
+    assert decoded(bundle) == msg
 
 
 RATE_CASES = [
@@ -117,19 +126,20 @@ RATE_CASES = [
 @pytest.mark.parametrize("shape,rates", RATE_CASES)
 def test_rated_round_trip_all_subsets(shape, rates):
     length, wiretap, threshold = shape
-    params = SsdcParams(GF7, length, wiretap, threshold)
+    params = CosetCodeSpec(GF7, length, wiretap, threshold)
     rng = np.random.default_rng(sum(shape))
     for h in (1, 2, 5, 8):
         msg = [int(v) for v in rng.integers(0, 7, size=h)]
-        bundle = encode_at_rate(params, msg, rates, source=rng)
+        bundle = encode_with_layout(rate_layout(params, h, rates), msg,
+                                    source=rng)
         for ids in combinations(range(1, length + 1), threshold):
-            assert decode_bundle(bundle, ids) == tuple(msg)
+            assert decoded(bundle, ids) == msg
 
 
 @pytest.mark.parametrize("shape,rates", RATE_CASES)
 def test_rate_accounting_within_block_slack(shape, rates):
     length, wiretap, threshold = shape
-    params = SsdcParams(GF7, length, wiretap, threshold)
+    params = CosetCodeSpec(GF7, length, wiretap, threshold)
     k = threshold - wiretap
     for h in (1, 3, 7, 20):
         layout = rate_layout(params, h, rates)
@@ -143,38 +153,43 @@ def test_rate_accounting_within_block_slack(shape, rates):
 
 
 def test_corner_layout_and_infeasible_corner():
-    params = SsdcParams(GF5, length=3, wiretap=1, threshold=3)  # k = 2
+    params = CosetCodeSpec(GF5, length=3, wiretap=1, threshold=3)  # k = 2
     layout = corner_layout(params, 3, zeros=(2,))
     assert layout.emitted(2) == 0
     assert layout.runs == (BlockRun((1, 3), 1, 3),)
     msg = [2, 0, 4]
     bundle = encode_with_layout(layout, msg, source=3)
-    assert decode(layout, {l: bundle.payloads[l] for l in (1, 2, 3)}) == tuple(msg)
+    assert decode(layout, {l: bundle.payloads[l] for l in (1, 2, 3)}
+                  ).tolist() == msg
     with pytest.raises(InfeasibleCornerError):
         corner_layout(params, 3, zeros=(1, 2))
 
 
-def test_encode_corner_matches_rate_path():
-    params = SsdcParams(GF7, length=4, wiretap=1, threshold=4)  # k = 3
-    msg = [1, 2, 3, 4, 5]
-    a = encode_corner(params, msg, zeros=(3,), source=42)
-    b = encode_at_rate(params, msg, (F(1, 2), F(1, 2), 0, F(1, 2)), source=42)
-    assert a.payloads == b.payloads
+def test_corner_layout_matches_rate_path():
+    params = CosetCodeSpec(GF7, length=4, wiretap=1, threshold=4)  # k = 3
+    for msg in ([1, 2, 3], [1, 2, 3, 4, 5]):
+        corner = corner_layout(params, len(msg), zeros=(3,))
+        rated = rate_layout(params, len(msg), (F(1, 2), F(1, 2), 0, F(1, 2)))
+        assert corner == rated
+        a = encode_with_layout(corner, msg, source=42)
+        b = encode_with_layout(rated, msg, source=42)
+        assert all(np.array_equal(a.payloads[l], b.payloads[l])
+                   for l in range(1, 5))
 
 
 def test_decode_insufficient_outputs_names_shortfall():
-    params = SsdcParams(GF5, length=4, wiretap=1, threshold=3)
-    bundle = encode_symmetric(params, [1, 2, 3], source=0)
+    params = CosetCodeSpec(GF5, length=4, wiretap=1, threshold=3)
+    bundle = symmetric_bundle(params, [1, 2, 3], source=0)
     with pytest.raises(InsufficientSharesError) as exc:
-        decode_bundle(bundle, (1, 4))
+        decoded(bundle, (1, 4))
     assert exc.value.needed == 3 and exc.value.have == 2
     assert exc.value.shortfall == 1
     assert "1 short" in str(exc.value)
 
 
 def test_decode_rejects_wrong_payload_length():
-    params = SsdcParams(GF5, length=3, wiretap=1, threshold=2)
-    bundle = encode_symmetric(params, [1, 2], source=0)
+    params = CosetCodeSpec(GF5, length=3, wiretap=1, threshold=2)
+    bundle = symmetric_bundle(params, [1, 2], source=0)
     broken = dict(bundle.payloads)
     broken[2] = broken[2][:-1]
     with pytest.raises(ParameterError):
@@ -182,26 +197,27 @@ def test_decode_rejects_wrong_payload_length():
 
 
 def test_decode_detects_corruption_with_extra_shares():
-    params = SsdcParams(GF5, length=3, wiretap=1, threshold=2)
-    bundle = encode_symmetric(params, [1, 2], source=0)
+    params = CosetCodeSpec(GF5, length=3, wiretap=1, threshold=2)
+    bundle = symmetric_bundle(params, [1, 2], source=0)
     tampered = dict(bundle.payloads)
-    tampered[3] = tuple((v + 1) % 5 for v in tampered[3])
+    tampered[3] = (tampered[3] + 1) % 5
     with pytest.raises(DecodeFailureError):
         decode(bundle.layout, tampered)
 
 
 def test_binary_field_round_trip():
-    params = SsdcParams(binary8_field(), length=4, wiretap=2, threshold=3)
+    params = CosetCodeSpec(binary8_field(), length=4, wiretap=2, threshold=3)
     rng = np.random.default_rng(606)
     msg = [int(v) for v in rng.integers(0, 256, size=9)]
-    bundle = encode_symmetric(params, msg, source=rng)
+    bundle = symmetric_bundle(params, msg, source=rng)
     for ids in combinations(range(1, 5), 3):
-        assert decode_bundle(bundle, ids) == tuple(msg)
+        assert decoded(bundle, ids) == msg
 
 
 def test_fresh_keys_differ_between_blocks():
     # two equal message blocks must not produce equal share blocks
-    params = SsdcParams(GF5, length=2, wiretap=1, threshold=2)
-    bundle = encode_symmetric(params, [3, 3, 3, 3],
+    params = CosetCodeSpec(GF5, length=2, wiretap=1, threshold=2)
+    bundle = symmetric_bundle(params, [3, 3, 3, 3],
                               source=SequenceSymbolSource([0, 1, 2, 3]))
-    assert len(set(zip(bundle.payloads[1], bundle.payloads[2]))) == 4
+    assert len(set(zip(bundle.payloads[1].tolist(),
+                       bundle.payloads[2].tolist()))) == 4

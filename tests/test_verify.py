@@ -15,12 +15,12 @@ import pytest
 
 from smdc import single_level
 from smdc.cli import EXIT_VERIFY_FAILED, entry
+from smdc.coset import CosetCodeSpec
 from smdc.errors import BudgetExceededError, ParameterError
 from smdc.fields import GF5, prime_field
 from smdc.multilevel import SmdcParams, plan as multilevel_plan, encode as multilevel_encode
 from smdc.randomness import SequenceSymbolSource
-from smdc.single_level import (SsdcParams, encode_with_layout, rate_layout,
-                               symmetric_layout)
+from smdc.single_level import encode_with_layout, rate_layout, symmetric_layout
 from smdc.verify import (CodeUnderTest, ExactLogSum, VerifierBudget,
                          check_perfect_secrecy, check_prop2_inequality,
                          check_reconstruction, code_for_layout,
@@ -198,7 +198,7 @@ def public_single_table(layout):
     for word in product(range(q), repeat=h + layout.key_symbols):
         bundle = encode_with_layout(layout, list(word[:h]),
                                     SequenceSymbolSource(word[h:]))
-        shares = tuple(tuple(bundle.payloads[l])
+        shares = tuple(tuple(bundle.payloads[l].tolist())
                        for l in range(1, params.length + 1))
         outcome = ((word[:h],), shares)
         counts[outcome] = counts.get(outcome, 0) + 1
@@ -206,7 +206,7 @@ def public_single_table(layout):
 
 
 def test_layout_adapter_reproduces_hand_table():
-    layout = symmetric_layout(SsdcParams(GF3, 2, 1, 2), 1)
+    layout = symmetric_layout(CosetCodeSpec(GF3, 2, 1, 2), 1)
     code = code_for_layout(layout)
     dist = enumerate_joint(code)
     assert dict(dist.counts) == HAND_TABLE
@@ -214,9 +214,9 @@ def test_layout_adapter_reproduces_hand_table():
 
 
 @pytest.mark.parametrize("params,h,rates", [
-    (SsdcParams(GF5, 3, 1, 3), 2, None),
-    (SsdcParams(GF5, 3, 1, 2), 1, (1, 2, 1)),
-    (SsdcParams(GF5, 4, 1, 3), 2, (0, 1, 1, 1)),
+    (CosetCodeSpec(GF5, 3, 1, 3), 2, None),
+    (CosetCodeSpec(GF5, 3, 1, 2), 1, (1, 2, 1)),
+    (CosetCodeSpec(GF5, 4, 1, 3), 2, (0, 1, 1, 1)),
 ])
 def test_layout_adapter_matches_public_encoder(params, h, rates):
     if rates is None:
@@ -230,7 +230,7 @@ def test_layout_adapter_matches_public_encoder(params, h, rates):
 
 
 def test_layout_adapter_full_verification():
-    layout = rate_layout(SsdcParams(GF5, 4, 1, 3), 2,
+    layout = rate_layout(CosetCodeSpec(GF5, 4, 1, 3), 2,
                          [Fraction(0), 1, 1, 1])
     code = code_for_layout(layout)
     dist = enumerate_joint(code)
@@ -258,7 +258,8 @@ def public_multilevel_table(params, layout):
         sources = [list(word[a:b]) for a, b in cuts]
         bundle = multilevel_encode(params, sources,
                                    SequenceSymbolSource(word[total_src:]))
-        shares = tuple(bundle.payloads[l] for l in range(1, params.length + 1))
+        shares = tuple(tuple(tuple(p.tolist()) for p in bundle.payloads[l])
+                       for l in range(1, params.length + 1))
         outcome = (tuple(word[a:b] for a, b in cuts), shares)
         counts[outcome] = counts.get(outcome, 0) + 1
     return counts
@@ -319,7 +320,7 @@ def test_prop2_argument_validation():
 
 
 def test_product_code_keeps_secrecy_across_uses():
-    base = code_for_layout(symmetric_layout(SsdcParams(GF3, 2, 1, 2), 1))
+    base = code_for_layout(symmetric_layout(CosetCodeSpec(GF3, 2, 1, 2), 1))
     twice = product_code(base, 2)
     assert twice.source_symbols == (1, 1)
     assert twice.key_symbols == 2
@@ -334,7 +335,7 @@ def test_product_code_keeps_secrecy_across_uses():
 
 
 def test_verification_report_shape_and_verdict():
-    layout = symmetric_layout(SsdcParams(GF5, 3, 1, 2), 1)
+    layout = symmetric_layout(CosetCodeSpec(GF5, 3, 1, 2), 1)
     report = verification_report(code_for_layout(layout))
     assert report["ok"]
     assert report["outcomes"] == 25
