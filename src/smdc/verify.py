@@ -2,10 +2,11 @@
 
 The verifier enumerates every (source, key) combination of a code,
 pushing them through its encoder in batches of words (for the package's
-own codes, the shipped array codec that writes share files), builds the
-exact joint distribution of sources and shares as integer counts over a
-common denominator, and then decides statements about it with no
-floating point in the decision path:
+own codes, the shipped array codec that writes share files), keeps the
+batches in word order as the exact joint distribution, takes integer
+counts over a common denominator by grouping words of equal value, and
+then decides statements about it with no floating point in the decision
+path:
 
 * perfect secrecy against a tap subset is exact factorization of the
   joint distribution of (sources, tapped shares);
@@ -24,7 +25,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import lcm, log2
 from typing import Callable, Mapping, Sequence
 
@@ -156,38 +157,30 @@ class CodeUnderTest:
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Integer counts over outcomes (sources, shares); every (source,
-    key) pair contributes one count, so total = q ** (symbols + keys).
+    """Every (source, key) word once, so total = q ** (symbols + keys).
 
     `sources` and `shares` keep the batches of every word, in word
-    order, in the shapes encode_fn takes and returns.
+    order, in the shapes encode_fn takes and returns; an outcome's count
+    is the number of words that carry it.
     """
 
     q: int
     length: int
     wiretap: int
     source_symbols: tuple[int, ...]
-    counts: Mapping[tuple, int]
     total: int
     sources: tuple
     shares: tuple
 
 
 # Words per encode_fn call: big enough that a call costs little per word,
-# small enough that a chunk's Python tuples stay a few MB.
+# small enough that the codec's temporaries stay a few MB.
 CHUNK_WORDS = 4096
 
 
-def _rows(batch) -> list[tuple]:
-    """Per-word tuples of Python ints from a (W, n) array, or from a tuple
-    nesting such arrays (then each word gets the same nesting)."""
-    if isinstance(batch, tuple):
-        return list(zip(*map(_rows, batch)))
-    return list(map(tuple, np.asarray(batch).tolist()))
-
-
 def _word(batch, i: int):
-    """Word i of a batch, shaped as _rows shapes it."""
+    """Word i of a (W, n) batch as a tuple of Python ints, or of a tuple
+    nesting such batches as the same nesting of tuples."""
     if isinstance(batch, tuple):
         return tuple(_word(part, i) for part in batch)
     return tuple(np.asarray(batch)[i].tolist())
@@ -200,6 +193,32 @@ def _concat(chunks: list):
     return np.concatenate(chunks)
 
 
+def _columns(batch) -> list:
+    """The (W,) columns of a (W, n) batch or of a tuple nesting such."""
+    if isinstance(batch, tuple):
+        return [column for part in batch for column in _columns(part)]
+    return list(np.asarray(batch, dtype=np.int64).T)
+
+
+def _group(batch, words: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group the `words` words of a batch by value: a group id per word,
+    ids numbered by first appearance in word order, and each group's
+    first word.  Columns pack into one int64 key per word with mixed
+    radix, re-compacted to group ranks before the span could pass 2**62.
+    """
+    key, span = np.zeros(words, dtype=np.int64), 1
+    for column in _columns(batch):
+        low = column.min()
+        radix = int(column.max() - low) + 1
+        if span * radix > 1 << 62:
+            key = np.unique(key, return_inverse=True)[1]
+            span = int(key.max()) + 1
+        key, span = key * radix + (column - low), span * radix
+    _, first, key = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return np.argsort(order)[key], first[order]
+
+
 def enumerate_joint(code: CodeUnderTest,
                     budget: VerifierBudget = VerifierBudget()) -> JointDistribution:
     """Push every (source, key) word through the code in lexicographic
@@ -209,34 +228,26 @@ def enumerate_joint(code: CodeUnderTest,
         raise BudgetExceededError(
             f"{n_outcomes} outcomes exceed the budget of "
             f"{budget.max_outcomes}; refusing to enumerate")
-    deadline = None
-    if budget.max_seconds is not None:
-        deadline = time.monotonic() + budget.max_seconds
+    deadline = (None if budget.max_seconds is None
+                else time.monotonic() + budget.max_seconds)
     src_total = sum(code.source_symbols)
-    cuts = []
-    at = 0
-    for h in code.source_symbols:
-        cuts.append((at, at + h))
-        at += h
+    ends = list(accumulate(code.source_symbols, initial=0))
     # digit weights of a word's index, most significant first: the order
     # of itertools.product (np.unravel_index refuses the empty word)
     weights = code.q ** np.arange(src_total + code.key_symbols - 1, -1, -1,
                                   dtype=np.int64)
-    counts: dict[tuple, int] = {}
     chunks = []
     for start in range(0, n_outcomes, CHUNK_WORDS):
         if start and deadline is not None and time.monotonic() > deadline:
             raise BudgetExceededError("verification time budget exhausted")
         index = np.arange(start, min(start + CHUNK_WORDS, n_outcomes))
         words = index[:, None] // weights % code.q
-        sources = tuple(words[:, a:b] for a, b in cuts)
+        sources = tuple(words[:, a:b] for a, b in zip(ends, ends[1:]))
         shares = code.encode_fn(sources, words[:, src_total:])
-        for outcome in zip(_rows(sources), _rows(shares)):
-            counts[outcome] = counts.get(outcome, 0) + 1
         chunks.append((sources, shares))
     sources, shares = _concat(chunks)
     return JointDistribution(code.q, code.length, code.wiretap,
-                             code.source_symbols, counts, n_outcomes,
+                             code.source_symbols, n_outcomes,
                              sources, shares)
 
 
@@ -254,35 +265,36 @@ def check_perfect_secrecy(dist: JointDistribution, tapped) -> SecrecyReport:
     """Exact independence of (all sources) from the tapped share tuple.
 
     Checks count(s, o) * total == count(s) * count(o) for every cell of
-    the product support, zero cells included.
+    the product support, zero cells included; sources and observations
+    each run in order of first appearance.
     """
     tapped = tuple(sorted(set(int(l) for l in tapped)))
     for l in tapped:
         if not 1 <= l <= dist.length:
             raise ParameterError(f"encoder {l} out of range")
-    joint: dict[tuple, int] = {}
-    m_src: dict[tuple, int] = {}
-    m_obs: dict[tuple, int] = {}
-    for (sources, shares), c in dist.counts.items():
-        obs = tuple(shares[l - 1] for l in tapped)
-        cell = (sources, obs)
-        joint[cell] = joint.get(cell, 0) + c
-        m_src[sources] = m_src.get(sources, 0) + c
-        m_obs[obs] = m_obs.get(obs, 0) + c
-    for sources in m_src:
-        for obs in m_obs:
-            lhs = joint.get((sources, obs), 0) * dist.total
-            rhs = m_src[sources] * m_obs[obs]
-            if lhs != rhs:
-                return SecrecyReport(tapped, False, {
-                    "sources": sources,
-                    "observed": obs,
-                    "count": joint.get((sources, obs), 0),
-                    "total": dist.total,
-                    "source_count": m_src[sources],
-                    "observed_count": m_obs[obs],
-                })
-    return SecrecyReport(tapped, True)
+    observed = tuple(dist.shares[l - 1] for l in tapped)
+    src, src_first = _group(dist.sources, dist.total)
+    obs, obs_first = _group(observed, dist.total)
+    m_src, m_obs = np.bincount(src), np.bincount(obs)
+    n_obs = len(obs_first)
+    # nonzero cells as ascending row-major indices s * n_obs + o; cell i
+    # is missing, and fails with count 0, where cells[i] != i first
+    cells, count = np.unique(src * n_obs + obs, return_counts=True)
+    fails = np.flatnonzero((cells != np.arange(len(cells))) | (
+        count * dist.total != m_src[cells // n_obs] * m_obs[cells % n_obs]))
+    cell = int(fails[0]) if len(fails) else len(cells)
+    if cell == len(src_first) * n_obs:
+        return SecrecyReport(tapped, True)
+    s, o = divmod(cell, n_obs)
+    return SecrecyReport(tapped, False, {
+        "sources": _word(dist.sources, src_first[s]),
+        "observed": _word(observed, obs_first[o]),
+        "count": int(count[cell]) if cell < len(cells) and cells[cell] == cell
+            else 0,
+        "total": dist.total,
+        "source_count": int(m_src[s]),
+        "observed_count": int(m_obs[o]),
+    })
 
 
 @dataclass(frozen=True)
@@ -319,37 +331,18 @@ def check_reconstruction(code: CodeUnderTest, dist: JointDistribution,
 # --- entropies ------------------------------------------------------------------
 
 
-def source_label(k: int) -> str:
-    return f"S{k}"
-
-
-def share_label(l: int) -> str:
-    return f"X{l}"
-
-
-def _component(dist: JointDistribution, outcome, label: str):
-    sources, shares = outcome
+def _batch(dist: JointDistribution, label: str):
+    """The word-order batch of variable S<k> or X<l>."""
     kind, idx = label[0], int(label[1:])
     if kind == "S":
         if not 1 <= idx <= len(dist.source_symbols):
             raise ParameterError(f"no source {label}")
-        return sources[idx - 1]
+        return dist.sources[idx - 1]
     if kind == "X":
         if not 1 <= idx <= dist.length:
             raise ParameterError(f"no encoder {label}")
-        return shares[idx - 1]
+        return dist.shares[idx - 1]
     raise ParameterError(f"unknown variable {label!r}")
-
-
-def _grouped(dist: JointDistribution, targets: Sequence[str],
-             given: Sequence[str]) -> dict[tuple, dict[tuple, int]]:
-    groups: dict[tuple, dict[tuple, int]] = {}
-    for outcome, c in dist.counts.items():
-        g = tuple(_component(dist, outcome, lab) for lab in given)
-        t = tuple(_component(dist, outcome, lab) for lab in targets)
-        bucket = groups.setdefault(g, {})
-        bucket[t] = bucket.get(t, 0) + c
-    return groups
 
 
 @dataclass(frozen=True)
@@ -364,30 +357,35 @@ def conditional_entropy(dist: JointDistribution, targets: Sequence[str],
     """H(targets | given) in bits: a float plus the exact value.
 
     float_agrees records whether the independently accumulated float
-    matches the exact form within 1e-12.
+    matches the exact form within 1e-12.  With c_g words in a group of
+    `given` values and c in a cell of (given, targets) values, the exact
+    value is (sum_g c_g log c_g - sum_cells c log c) / total; the float
+    adds (c / total) * log2(c_g / c) over groups, then cells, in order
+    of first appearance.
     """
-    targets = list(targets)
-    given = list(given)
-    groups = _grouped(dist, targets, given)
-    exact_acc: dict[int, Fraction] = {}
-    bits = 0.0
-    for g, bucket in groups.items():
-        c_g = sum(bucket.values())
-        for t, c in bucket.items():
-            w = Fraction(c, dist.total)
-            # contribution w * log2(c_g / c)
-            for p, e in _factorize(c_g):
-                exact_acc[p] = exact_acc.get(p, Fraction(0)) + w * e
-            for p, e in _factorize(c):
-                exact_acc[p] = exact_acc.get(p, Fraction(0)) - w * e
-            bits += float(w) * log2(c_g / c)
-    exact = ExactLogSum._from_map(exact_acc)
+    given_batch = tuple(_batch(dist, label) for label in given)
+    target_batch = tuple(_batch(dist, label) for label in targets)
+    group, _ = _group(given_batch, dist.total)
+    cell, cell_first = _group(given_batch + target_batch, dist.total)
+    c_g, c = np.bincount(group), np.bincount(cell)
+    exact = ExactLogSum()
+    for counts, sign in ((c_g, 1), (c, -1)):
+        values, times = np.unique(counts, return_counts=True)
+        for v, n in zip(values.tolist(), times.tolist()):
+            exact += ExactLogSum.of_log(v, Fraction(sign * n * v, dist.total))
+    order = np.argsort(group[cell_first], kind="stable")
+    c, ratio = c[order], c_g[group[cell_first[order]]] / c[order]
+    # math.log2 per distinct ratio (np.log2 may differ in the last ulp),
+    # summed sequentially by np.add.accumulate
+    values, where = np.unique(ratio, return_inverse=True)
+    logs = np.array([log2(v) for v in values.tolist()])[where]
+    bits = float(np.add.accumulate(c / dist.total * logs)[-1])
     return EntropyResult(bits, exact, abs(bits - exact.to_float()) <= 1e-12)
 
 
 def source_entropy(dist: JointDistribution, k: int) -> ExactLogSum:
     """H(S_k): exact, from the marginal (uniform by construction)."""
-    return conditional_entropy(dist, [source_label(k)]).exact
+    return conditional_entropy(dist, [f"S{k}"]).exact
 
 
 @dataclass(frozen=True)
@@ -424,10 +422,10 @@ def check_prop2_inequality(dist: JointDistribution, level: int,
         if not 1 <= l <= dist.length:
             raise ParameterError(f"encoder {l} out of range")
 
-    d_labels = [share_label(l) for l in checked]
-    a_labels = [share_label(l) for l in tapped]
-    below = [source_label(k) for k in range(1, level)]
-    upto = below + [source_label(level)]
+    d_labels = [f"X{l}" for l in checked]
+    a_labels = [f"X{l}" for l in tapped]
+    below = [f"S{k}" for k in range(1, level)]
+    upto = below + [f"S{level}"]
     lhs = conditional_entropy(dist, d_labels, below + a_labels)
     rhs_tail = conditional_entropy(dist, d_labels, upto + a_labels)
     slack = lhs.exact - source_entropy(dist, level) - rhs_tail.exact
@@ -535,8 +533,7 @@ def verification_report(code: CodeUnderTest,
     and the conditional source entropy in bits for tap sets.
     """
     dist = enumerate_joint(code, budget)
-    sources = [source_label(k)
-               for k in range(1, len(code.source_symbols) + 1)]
+    sources = [f"S{k}" for k in range(1, len(code.source_symbols) + 1)]
     report: dict = {
         "q": code.q,
         "length": code.length,
@@ -553,7 +550,7 @@ def verification_report(code: CodeUnderTest,
     for size in range(1, code.wiretap + 1):
         for tapped in combinations(encoders, size):
             rep = check_perfect_secrecy(dist, tapped)
-            given = [share_label(l) for l in tapped]
+            given = [f"X{l}" for l in tapped]
             report["secrecy"][",".join(map(str, tapped))] = {
                 "ok": rep.ok,
                 "conditional_entropy_bits":

@@ -7,6 +7,7 @@ first exercised against that table.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -44,6 +45,19 @@ HAND_TABLE = {
 }
 
 
+def rows(batch) -> list[tuple]:
+    """Per-word tuples of Python ints from a (W, n) batch, or from a tuple
+    nesting such batches (then each word gets the same nesting)."""
+    if isinstance(batch, tuple):
+        return list(zip(*map(rows, batch)))
+    return list(map(tuple, np.asarray(batch).tolist()))
+
+
+def joint_table(dist) -> dict:
+    """Count of every (sources, shares) outcome among the enumerated words."""
+    return dict(Counter(zip(rows(dist.sources), rows(dist.shares))))
+
+
 def hand_code() -> CodeUnderTest:
     # batches: sources[0] and keys are (W, 1) arrays, one row per word
     def encode_fn(sources, keys):
@@ -77,7 +91,7 @@ def leaky_code() -> CodeUnderTest:
 def test_enumerate_joint_matches_hand_table():
     dist = enumerate_joint(hand_code())
     assert dist.total == 9
-    assert dict(dist.counts) == HAND_TABLE
+    assert joint_table(dist) == HAND_TABLE
     assert dist.q == 3 and dist.length == 2 and dist.wiretap == 1
 
 
@@ -100,6 +114,24 @@ def test_secrecy_counterexample_on_leaky_code():
     assert rep.counterexample is not None
     with pytest.raises(ParameterError):
         check_perfect_secrecy(dist, (0,))
+
+
+def test_secrecy_counterexample_can_be_a_cell_that_never_occurs():
+    # x1 = T[s][k], x2 = s + k over GF(3); row s = 0 of T is balanced, but
+    # no key gives x1 = 0 for s = 1, so the first failing cell is empty
+    table = np.array([[0, 1, 2], [1, 1, 2], [0, 0, 2]])
+    code = CodeUnderTest(q=3, length=2, wiretap=1, source_symbols=(1,),
+                         key_symbols=1,
+                         encode_fn=lambda sources, keys:
+                             (table[sources[0], keys],
+                              (sources[0] + keys) % 3),
+                         decode_fn=lambda observed: (),
+                         expected_sources=lambda size: 0)
+    rep = check_perfect_secrecy(enumerate_joint(code), (1,))
+    assert not rep.ok
+    assert rep.counterexample == {
+        "sources": ((1,),), "observed": ((0,),), "count": 0, "total": 9,
+        "source_count": 3, "observed_count": 3}
 
 
 def test_reconstruction_on_hand_code_and_failure_on_leaky():
@@ -131,6 +163,43 @@ def test_entropies_on_hand_table():
     pair = conditional_entropy(dist, ["X1", "X2"])
     assert (pair.exact - ExactLogSum.of_log(3).scaled(Fraction(2))).sign() == 0
     assert source_entropy(dist, 1) == ExactLogSum.of_log(3)
+
+
+def reference_entropy(table, total, targets, given):
+    """H(targets | given) by a walk over an outcome table: the exact value
+    and the float added cell by cell, in order of first appearance."""
+    def value(outcome, label):
+        sources, shares = outcome
+        return (sources if label[0] == "S" else shares)[int(label[1:]) - 1]
+
+    groups = {}
+    for outcome, c in table.items():
+        bucket = groups.setdefault(
+            tuple(value(outcome, label) for label in given), {})
+        t = tuple(value(outcome, label) for label in targets)
+        bucket[t] = bucket.get(t, 0) + c
+    exact, bits = ExactLogSum(), 0.0
+    for bucket in groups.values():
+        c_g = sum(bucket.values())
+        for c in bucket.values():
+            w = Fraction(c, total)
+            exact += ExactLogSum.of_log(c_g, w) - ExactLogSum.of_log(c, w)
+            bits += float(w) * math.log2(c_g / c)
+    return exact, bits
+
+
+def test_entropies_match_a_walk_over_the_outcome_table():
+    dist = enumerate_joint(code_for_multilevel(
+        multilevel_plan(SmdcParams(GF5, 3, 1, (1, 1)))))
+    table = joint_table(dist)
+    labels = ["S1", "S2", "X1", "X2", "X3"]
+    for size in (1, 2):
+        for targets in combinations(labels, size):
+            for given in [()] + [(label,) for label in labels]:
+                got = conditional_entropy(dist, targets, given)
+                # the same float, to the last bit, not just a close one
+                assert (got.exact, got.bits) == reference_entropy(
+                    table, dist.total, targets, given), (targets, given)
 
 
 def test_entropy_label_validation():
@@ -209,8 +278,8 @@ def test_layout_adapter_reproduces_hand_table():
     layout = symmetric_layout(CosetCodeSpec(GF3, 2, 1, 2), 1)
     code = code_for_layout(layout)
     dist = enumerate_joint(code)
-    assert dict(dist.counts) == HAND_TABLE
-    assert dict(dist.counts) == public_single_table(layout)
+    assert joint_table(dist) == HAND_TABLE
+    assert joint_table(dist) == public_single_table(layout)
 
 
 @pytest.mark.parametrize("params,h,rates", [
@@ -225,7 +294,7 @@ def test_layout_adapter_matches_public_encoder(params, h, rates):
         layout = rate_layout(params, h, [Fraction(r) for r in rates])
     code = code_for_layout(layout)
     dist = enumerate_joint(code)
-    assert dict(dist.counts) == public_single_table(layout)
+    assert joint_table(dist) == public_single_table(layout)
     assert dist.total == code.q ** (h + layout.key_symbols)
 
 
@@ -270,7 +339,7 @@ def test_multilevel_adapter_matches_public_encoder():
     layout = multilevel_plan(params)
     code = code_for_multilevel(layout)
     dist = enumerate_joint(code)
-    assert dict(dist.counts) == public_multilevel_table(params, layout)
+    assert joint_table(dist) == public_multilevel_table(params, layout)
     assert dist.total == 5 ** 4
     for l in (1, 2, 3):
         assert check_perfect_secrecy(dist, (l,)).ok
