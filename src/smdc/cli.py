@@ -40,17 +40,15 @@ EXIT_IO = 5
 
 
 def _parse_field(text: str) -> FieldSpec:
-    """gf256 (or binary8), or a prime that a share file can carry."""
+    """gf256 (or binary8), or a prime."""
     if text in ("gf256", "binary8"):
         return binary8_field()
     try:
         p = int(text)
     except ValueError:
         raise ParameterError(
-            f"field must be 'gf256' or a prime up to 251, got {text!r}")
-    field = prime_field(p)
-    field_to_id(field)
-    return field
+            f"field must be 'gf256' or a prime, got {text!r}")
+    return prime_field(p)
 
 
 def _parse_fractions(text: str) -> list[Fraction]:
@@ -169,6 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_split(args) -> int:
     field = _parse_field(args.field)
+    field_to_id(field)
     datas = []
     for path in args.sources:
         with open(path, "rb") as fh:

@@ -248,6 +248,9 @@ def split_files(field: FieldSpec, length: int, wiretap: int,
     """Encode K = length - wiretap byte strings, priority order, into one
     ShareFile per encoder."""
     _check_geometry(length, wiretap)
+    if length >= max(field.order, MAX_PRIME_FIELD_ID):  # no share-file prime > L
+        raise ParameterError(f"{field} supports at most {field.order - 1} "
+                             f"encoders; use gf256")
     datas = [bytes(d) for d in datas]
     sources = [bytes_to_symbols(field, d) for d in datas]
     params = SmdcParams(field, length, wiretap,

@@ -97,6 +97,19 @@ def test_split_names_the_encoder_limit_of_a_prime_field(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_split_names_only_gf256_when_no_share_file_prime_is_big_enough(
+        tmp_path, capsys):
+    # share files carry primes up to 251, so none is above L = 251
+    sources = [write(tmp_path / f"s{k}", b"x") for k in range(250)]
+    code = entry(["split", "--L", "251", "--N", "1", "--field", "251",
+                  "--out-dir", str(tmp_path / "out"), *sources])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "GF(251) supports at most 250 encoders; use gf256" in err
+    assert "prime above" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_split_refuses_to_overwrite(tmp_path, capsys):
     a = write(tmp_path / "a", b"12345")
     b = write(tmp_path / "b", b"678")
@@ -280,6 +293,23 @@ def test_verify_command(capsys):
     assert "error" in capsys.readouterr().err
     assert entry(["verify", "--length", "3", "--wiretap", "1"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_verify_takes_a_prime_no_share_file_can_carry(capsys):
+    # verify writes no share file, so GF(257) is fine there
+    assert entry(["verify", "--L", "3", "--N", "1", "--m", "2",
+                  "--field", "257"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"]
+    assert report["q"] == 257 and report["outcomes"] == 66049
+
+
+def test_a_non_numeric_field_is_refused_without_a_share_file_limit(capsys):
+    assert entry(["verify", "--L", "3", "--N", "1", "--m", "2",
+                  "--field", "gf7"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "field must be 'gf256' or a prime, got 'gf7'" in err
+    assert "251" not in err
 
 
 def test_missing_subcommand_is_a_usage_error():
