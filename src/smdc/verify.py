@@ -179,8 +179,7 @@ CHUNK_WORDS = 4096
 
 
 def _word(batch, i: int):
-    """Word i of a (W, n) batch as a tuple of Python ints, or of a tuple
-    nesting such batches as the same nesting of tuples."""
+    """Word i of a batch, as tuples of Python ints nested like the batch."""
     if isinstance(batch, tuple):
         return tuple(_word(part, i) for part in batch)
     return tuple(np.asarray(batch)[i].tolist())
@@ -228,8 +227,9 @@ def enumerate_joint(code: CodeUnderTest,
         raise BudgetExceededError(
             f"{n_outcomes} outcomes exceed the budget of "
             f"{budget.max_outcomes}; refusing to enumerate")
-    deadline = (None if budget.max_seconds is None
-                else time.monotonic() + budget.max_seconds)
+    deadline = None
+    if budget.max_seconds is not None:
+        deadline = time.monotonic() + budget.max_seconds
     src_total = sum(code.source_symbols)
     ends = list(accumulate(code.source_symbols, initial=0))
     # digit weights of a word's index, most significant first: the order
