@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Tour of the admissible rate machinery: print a region, test points
-against it, enumerate its corners, and work with symbolic entropies.
+against it, enumerate its corners, work with symbolic entropies, and
+see the weighted rows of a combined region with three sources.
 
 Run: python3 demos/rate_regions.py
 """
@@ -8,8 +9,9 @@ Run: python3 demos/rate_regions.py
 from fractions import Fraction
 
 from smdc.region import (LinExpr, corner_points, min_sum_rate, region,
-                         smdc_min_sum_rate, superposition_region,
-                         vertices_brute_force, violated_subsets)
+                         smdc_min_sum_rate, superposition_corner_points,
+                         superposition_region, vertices_brute_force,
+                         violated_subsets)
 
 passed = 0
 failed = 0
@@ -87,6 +89,32 @@ total = smdc_min_sum_rate(3, 1, [h1, h2])
 print(f"\nsymbolic minimum total rate: {total}")
 check("symbolic form evaluates consistently",
       total.evaluate(vals) == F(21, 2))
+
+print()
+print("=" * 64)
+print("STAGE 4: three sources over three encoders, no taps, unit entropies")
+print("=" * 64)
+
+three = superposition_region(3, 0, [1, 1, 1])
+print("\ncombined region (facets only):")
+print(three.render())
+weighted = [r for r in three.rows if max(r.coeffs) == 2]
+check("three weighted rows R_i + R_j + 2*R_l >= 7",
+      len(weighted) == 3 and all(r.bound.constant_value() == 7
+                                 for r in weighted), three.render())
+
+point = [F(11, 4), F(2), F(1)]
+broken = three.violated_rows(point)
+print(f"\npoint ({', '.join(str(v) for v in point)}) breaks: "
+      f"{[r.render(three.var_names) for r in broken]}")
+check("the witness keeps its weights, not just the subset",
+      [r.render(three.var_names) for r in broken] == ["R1 + R2 + 2*R3 >= 7"])
+
+corners3 = superposition_corner_points(3, 0, [1, 1, 1])
+check("corners from one corner per source match brute force",
+      corners3 == vertices_brute_force(three), f"{len(corners3)} corners")
+check("the cheapest corner costs the minimum sum rate 3 + 3/2 + 1",
+      min(sum(c) for c in corners3) == smdc_min_sum_rate(3, 0, [1, 1, 1]))
 
 print()
 print("=" * 64)

@@ -55,9 +55,5 @@ class BudgetExceededError(SmdcError):
     """An exhaustive enumeration would exceed the configured budget."""
 
 
-class RowBudgetError(SmdcError):
-    """An inequality-system operation grew past its row budget."""
-
-
 class ShareFormatError(SmdcError):
     """A share file is malformed or inconsistent with its peers."""

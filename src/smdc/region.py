@@ -9,8 +9,12 @@ arithmetic is Fraction-exact.
 The single-code region for L encoders with reconstruction threshold k
 (decode from any k of the L outputs after key removal) is every k-subset
 of rates summing to at least the source entropy, plus nonnegativity.
-Superposed multilevel regions are obtained from layered copies of those
-systems by Fourier-Motzkin elimination of the per-layer rates.
+The layered scheme's total-rate region is the Minkowski sum of
+region(L, k, H_k) over its levels k = 1..L-N.  It comes from its support
+function h(alpha) = sum_k H_k * min_{z<k} S_{L-z}(alpha) / (k-z), where
+S_j sums the j smallest weights: each facet is a sorted alpha around
+which h is not linear, and gives one row per distinct permutation (cf.
+Yeung and Zhang, IEEE Trans. IT 45(2), 1999, for the non-secure case).
 """
 
 from __future__ import annotations
@@ -18,11 +22,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import accumulate, combinations, groupby, permutations, product
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ParameterError, RowBudgetError
+from .errors import ParameterError
 from .exactlp import LpResult, solve_lp
 
 _ZERO = Fraction(0)
@@ -212,12 +217,6 @@ class InequalitySystem:
     def dim(self) -> int:
         return len(self.var_names)
 
-    def param_names(self) -> tuple[str, ...]:
-        seen = set()
-        for r in self.rows:
-            seen.update(n for n, _ in r.bound.terms)
-        return tuple(sorted(seen))
-
     def _guaranteed_nonneg(self, rows: Sequence[Inequality]) -> frozenset[int]:
         out = set()
         for r in rows:
@@ -253,9 +252,7 @@ class InequalitySystem:
         return any(r.is_impossible for r in self.rows)
 
     def contains(self, point: Sequence, params: Mapping | None = None) -> bool:
-        if len(point) != self.dim:
-            raise ParameterError(f"point has {len(point)} coordinates, need {self.dim}")
-        return all(r.satisfied_by(point, params) for r in self.rows)
+        return not self.violated_rows(point, params)
 
     def violated_rows(self, point: Sequence, params: Mapping | None = None) -> list[Inequality]:
         if len(point) != self.dim:
@@ -413,159 +410,183 @@ def vertices_brute_force(system: InequalitySystem,
     rows = [(list(r.coeffs), r.bound.evaluate(params or {})) for r in system.rows]
     found = set()
     for combo in combinations(range(len(rows)), n):
-        a = [rows[i][0] for i in combo]
-        b = [rows[i][1] for i in combo]
-        x = _solve_exact(a, b)
-        if x is None:
+        reduced, pivots = _echelon([rows[i][0] + [rows[i][1]] for i in combo])
+        if pivots != list(range(n)):
             continue
+        x = [row[n] for row in reduced]
         if all(sum(c * v for c, v in zip(coeffs, x)) >= bound
                for coeffs, bound in rows):
             found.add(tuple(x))
     return tuple(sorted(found))
 
 
-def _solve_exact(a, b):
-    """Fraction Gaussian elimination; None when the matrix is singular."""
-    n = len(a)
-    m = [[Fraction(v) for v in row] + [Fraction(bv)] for row, bv in zip(a, b)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+def _echelon(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over the rationals: the nonzero rows and
+    their pivot columns."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if piv is None:
-            return None
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [v * inv for v in m[c]]
-        for r in range(n):
-            if r != c and m[r][c]:
-                f = m[r][c]
-                m[r] = [v - f * w for v, w in zip(m[r], m[c])]
-    return [m[r][n] for r in range(n)]
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [v / m[r][c] for v in m[r]]
+        for i, row in enumerate(m):
+            if i != r and row[c]:
+                m[i] = [v - row[c] * w for v, w in zip(row, m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
 
 
-# --- Fourier-Motzkin ------------------------------------------------------------
-
-def fm_eliminate(system: InequalitySystem, targets: Sequence,
-                 max_rows: int = 50_000) -> InequalitySystem:
-    """Project out the target variables one at a time.
-
-    Each elimination pairs every row where the variable appears positively
-    with every row where it appears negatively; max_rows bounds the row
-    count a single step may produce before pruning.
-    """
-    current = system.canonical()
-    for target in targets:
-        j = current._var_index(target)
-        pos, neg, rest = [], [], []
-        for r in current.rows:
-            c = r.coeffs[j]
-            if c > 0:
-                pos.append(r)
-            elif c < 0:
-                neg.append(r)
-            else:
-                rest.append(r)
-        produced = len(rest) + len(pos) * len(neg)
-        if produced > max_rows:
-            raise RowBudgetError(
-                f"eliminating {current.var_names[j]} would produce "
-                f"{produced} rows (budget {max_rows})")
-        new_rows = list(rest)
-        for p in pos:
-            sp = 1 / p.coeffs[j]
-            for q in neg:
-                sq = -1 / q.coeffs[j]
-                coeffs = tuple(cp * sp + cq * sq
-                               for cp, cq in zip(p.coeffs, q.coeffs))
-                bound = p.bound * sp + q.bound * sq
-                new_rows.append(Inequality(coeffs, bound))
-        names = current.var_names[:j] + current.var_names[j + 1:]
-        trimmed = [Inequality(r.coeffs[:j] + r.coeffs[j + 1:], r.bound)
-                   for r in new_rows]
-        current = InequalitySystem(names, tuple(trimmed)).canonical()
-    return current
+def _rank(vectors) -> int:
+    return len(_echelon(vectors)[1])
 
 
 # --- multilevel (superposed) regions ----------------------------------------------
 
-def default_entropy_names(count: int) -> tuple[str, ...]:
-    return tuple(f"H{k}" for k in range(1, count + 1))
-
-
-def superposition_extended_system(length: int, n_wiretap: int,
-                                  entropies=None) -> InequalitySystem:
-    """Layered-scheme constraints before projection.
-
-    Variables are the encoder totals R1..RL followed by the per-layer
-    rates Yk_l for layers 1..K-1 (layer K's rate is the total minus the
-    rest, so it needs no variable of its own).  Source k's layer must sit
-    inside region(L, k, H_k)."""
+def _level_entropies(length: int, n_wiretap: int, entropies) -> list[LinExpr]:
+    """One nonnegative entropy per level k = 1..L-N (symbols by default)."""
     if not 0 <= n_wiretap < length:
         raise ParameterError(f"need 0 <= N < L, got N={n_wiretap}, L={length}")
     k_count = length - n_wiretap
     if entropies is None:
-        entropies = default_entropy_names(k_count)
+        entropies = [f"H{k}" for k in range(1, k_count + 1)]
     hs = [LinExpr.coerce(h) for h in entropies]
     if len(hs) != k_count:
         raise ParameterError(f"need {k_count} entropies, got {len(hs)}")
+    if not all(h.provably_nonneg() for h in hs):
+        raise ParameterError("entropies must be nonnegative")
+    return hs
 
-    totals = rate_var_names(length)
-    layer_vars = [tuple(f"Y{k}_{l}" for l in range(1, length + 1))
-                  for k in range(1, k_count)]
-    names = totals + tuple(v for layer in layer_vars for v in layer)
-    dim = len(names)
-    idx = {name: i for i, name in enumerate(names)}
 
-    def row(weights: dict[str, Fraction], bound) -> Inequality:
-        coeffs = [_ZERO] * dim
-        for nm, w in weights.items():
-            coeffs[idx[nm]] = Fraction(w)
-        return Inequality(tuple(coeffs), LinExpr.coerce(bound))
+def _level_support(alpha: Sequence[Fraction], k: int) -> list[Fraction]:
+    """S_{L-z}(alpha) / (k - z) for z = 0..k-1, alpha sorted ascending:
+    what alpha costs at each kind of level-k corner per unit entropy."""
+    s = [_ZERO, *accumulate(alpha)]
+    return [s[len(alpha) - z] / (k - z) for z in range(k)]
 
-    def last_layer_weight(l: int) -> dict[str, Fraction]:
-        w = {totals[l]: Fraction(1)}
-        for layer in layer_vars:
-            w[layer[l]] = Fraction(-1)
-        return w
 
+def _chamber_rays(length: int, levels: tuple[int, ...]) -> set[tuple[Fraction, ...]]:
+    """Rays of the sorted chamber 0 <= a_1 <= ... <= a_L cut by every
+    level's breakpoints, scaled so the first nonzero entry is 1.
+
+    Level k's cost S_{L-z}/(k-z) is unimodal in z, so its linear pieces
+    meet only where neighbouring z tie, on c*a_p = a_1 + ... + a_{p-1} with
+    c = k-1-z and p = L-z.  Such a form, like a chamber wall a_p = a_{p-1},
+    ends at position p, and two tight forms ending at one position combine
+    into tight forms ending earlier.  So a ray is fixed by one tight form at
+    each position after its first nonzero entry: the rays are the leaves of
+    a walk that picks, position by position, the wall or a breakpoint that
+    keeps the entries ascending.
+    """
+    slopes = [[p - (length - k) for k in levels if 1 <= p - (length - k) < k]
+              for p in range(length)]
+    rays = set()
+
+    def extend(alpha: list[Fraction], total: Fraction):
+        if len(alpha) == length:
+            rays.add(tuple(alpha))
+            return
+        extend(alpha + [alpha[-1]], total + alpha[-1])
+        for a in (total / c for c in slopes[len(alpha)]):
+            if a > alpha[-1]:
+                extend(alpha + [a], total + a)
+
+    for first in range(length):
+        extend([_ZERO] * first + [Fraction(1)], Fraction(1))
+    return rays
+
+
+def _exposed_face_rank(alpha: Sequence[Fraction], levels: tuple[int, ...]) -> int:
+    """Dimension of the face of the combined region that alpha exposes:
+    the sum of each level's cheapest corners, with zeros on the largest
+    entries of alpha (ties in any order), plus e_i wherever alpha_i = 0."""
+    length = len(alpha)
+    spread = [[Fraction(i == j) for j in range(length)]
+              for i in range(length) if alpha[i] == 0]
+    for k in levels:
+        cost = _level_support(alpha, k)
+        points = []
+        for z in (z for z in range(k) if cost[z] == min(cost)):
+            cut = alpha[length - z] if z else None
+            above = tuple(i for i in range(z and length) if alpha[i] > cut)
+            ties = [i for i in range(z and length) if alpha[i] == cut]
+            points.extend([_ZERO if i in above + extra else Fraction(1, k - z)
+                           for i in range(length)]
+                          for extra in combinations(ties, z - len(above)))
+        spread.extend([a - b for a, b in zip(p, points[0])] for p in points[1:])
+    return _rank(spread)
+
+
+@lru_cache(maxsize=64)
+def _facet_orbits(length: int, levels: tuple[int, ...]):
+    """Sorted primitive integer facet normals of the combined region with
+    entropy on `levels`, each with the per-level weights g_k of its bound."""
+    out = []
+    for ray in _chamber_rays(length, levels):
+        if _exposed_face_rank(ray, levels) == length - 1:
+            scale = Fraction(lcm(*(a.denominator for a in ray)))
+            scale /= gcd(*(int(a * scale) for a in ray))
+            out.append((tuple(int(a * scale) for a in ray),
+                        tuple(min(_level_support(ray, k)) * scale for k in levels)))
+    return tuple(sorted(out))
+
+
+def superposition_region(length: int, n_wiretap: int, entropies=None) -> InequalitySystem:
+    """Total-rate region of the layered scheme, where source k has its own
+    threshold-k code: for each facet normal alpha, one row per distinct
+    permutation of alpha with bound sum_k g_k(alpha) * H_k."""
+    hs = _level_entropies(length, n_wiretap, entropies)
+    levels = tuple(k for k, h in enumerate(hs, start=1) if h != LinExpr())
     rows = []
-    for l in range(length):
-        rows.append(row({totals[l]: Fraction(1)}, 0))
-        rows.append(row(last_layer_weight(l), 0))
-        for layer in layer_vars:
-            rows.append(row({layer[l]: Fraction(1)}, 0))
-    for k in range(1, k_count):
-        layer = layer_vars[k - 1]
-        for subset in combinations(range(length), k):
-            rows.append(row({layer[l]: Fraction(1) for l in subset}, hs[k - 1]))
-    for subset in combinations(range(length), k_count):
-        weights: dict[str, Fraction] = {}
-        for l in subset:
-            for nm, w in last_layer_weight(l).items():
-                weights[nm] = weights.get(nm, _ZERO) + w
-        rows.append(row(weights, hs[k_count - 1]))
-
-    return InequalitySystem.make(names, rows)
+    for alpha, weights in _facet_orbits(length, levels):
+        bound = sum((hs[k - 1] * w for k, w in zip(levels, weights)), LinExpr())
+        rows.extend(Inequality.make(perm, bound)
+                    for perm in set(permutations(alpha)))
+    # facets never imply one another, so this is already canonical();
+    # sorting gives its row order without its pairwise dominance scan
+    rows.sort(key=Inequality.sort_key)
+    return InequalitySystem.make(rate_var_names(length), rows)
 
 
-def superposition_region(length: int, n_wiretap: int, entropies=None,
-                         max_rows: int = 50_000) -> InequalitySystem:
-    """Total-rate region of the layered scheme: source k is protected by
-    its own threshold-k code, and each encoder's rate is split across the
-    layers.  The per-layer rates are projected out by Fourier-Motzkin."""
-    extended = superposition_extended_system(length, n_wiretap, entropies)
-    eliminate = [v for v in extended.var_names if v.startswith("Y")]
-    return fm_eliminate(extended, eliminate, max_rows=max_rows)
+def superposition_corner_points(length: int, n_wiretap: int,
+                                entropies) -> tuple[tuple[Fraction, ...], ...]:
+    """Extreme points of the combined region (numeric entropies): sums of
+    one corner per level, all zeroing the largest coordinates of one order
+    (level k zeroes z_k < k and spreads H_k / (k - z_k) over the rest),
+    kept when the facets tight at them have full rank."""
+    hs = [_frac(h) for h in entropies]
+    _level_entropies(length, n_wiretap, hs)
+    levels = tuple(k for k, h in enumerate(hs, start=1) if h)
+    orbits = [(alpha, sum(hs[k - 1] * w for k, w in zip(levels, weights)))
+              for alpha, weights in _facet_orbits(length, levels)]
+    corners: set[tuple[Fraction, ...]] = set()
+    for zs in product(*(range(k) for k in range(1, len(hs) + 1))):
+        x = tuple(sum((h / (k - z) for k, (h, z) in enumerate(zip(hs, zs), 1)
+                       if i < length - z), _ZERO) for i in range(length))
+        if x not in corners and _rank(_tight_rows(x, orbits)) == length:
+            corners.update(permutations(x))
+    return tuple(sorted(corners))
+
+
+def _tight_rows(x: tuple[Fraction, ...], orbits) -> list[tuple[int, ...]]:
+    """Facet normals tight at a non-increasing point x.  An orbit touches x
+    when its ascending normal does; its tight rows then give each block of
+    equal entries of x the same slice of that normal, in any order."""
+    ends = list(accumulate(len(list(g)) for _, g in groupby(x)))
+    tight = []
+    for alpha, bound in orbits:
+        if sum(a * v for a, v in zip(alpha, x)) == bound:
+            slices = [set(permutations(alpha[a:b])) for a, b in zip([0] + ends, ends)]
+            tight.extend(sum(parts, ()) for parts in product(*slices))
+    return tight
 
 
 def smdc_min_sum_rate(length: int, n_wiretap: int, entropies):
     """Minimum total rate of the layered scheme: sum over sources of
     (L/k) * H_k."""
-    if not 0 <= n_wiretap < length:
-        raise ParameterError(f"need 0 <= N < L, got N={n_wiretap}, L={length}")
-    k_count = length - n_wiretap
-    hs = [LinExpr.coerce(h) for h in entropies]
-    if len(hs) != k_count:
-        raise ParameterError(f"need {k_count} entropies, got {len(hs)}")
+    hs = _level_entropies(length, n_wiretap, entropies)
     total = LinExpr()
     for k, h in enumerate(hs, start=1):
         total = total + h * Fraction(length, k)

@@ -3,10 +3,11 @@
 The network has a source feeding L encoder nodes (edge l carries rate
 R_l), and one user per threshold-subset of encoders, connected by
 uncapacitated edges.  An adversary taps some N-subset of the
-source-to-encoder edges.  The secrecy rate the network supports is the
-smallest user cut minus the largest wiretapped cut; with one source
-symbol per unit entropy both cuts are plain rate sums, and the max-flow
-computation is kept alongside as an independent check.
+source-to-encoder edges.  The secrecy rate the network supports is each
+user's cut less the strongest tap inside it, at the weakest user: the
+sum of the threshold - wiretap smallest rates, as in the single-level
+region.  With one source symbol per unit entropy every cut is a plain
+rate sum, and the max-flow computation is kept as an independent check.
 """
 
 from __future__ import annotations
@@ -157,9 +158,14 @@ def _check_subset(net: WiretapNetwork, subset, size: int) -> tuple[int, ...]:
     return subset
 
 
+def secrecy_rate(net: WiretapNetwork) -> Fraction:
+    """Largest entropy one source can carry with perfect secrecy."""
+    return sum(sorted(net.rates)[:net.threshold - net.wiretap], Fraction(0))
+
+
 def achievable_secrecy_rate(net: WiretapNetwork, via_flow: bool = False) -> Fraction:
-    """Smallest user cut minus largest adversary cut (may be negative
-    when the rate assignment cannot hide anything)."""
+    """Separation bound: smallest user cut minus largest adversary cut;
+    below `secrecy_rate` when the rates are uneven, and may be negative."""
     user_min = min(mincut_to_user(net, u, via_flow) for u in net.users())
     taps = list(net.wiretap_sets())
     tap_max = max((mincut_to_wiretap(net, a, via_flow) for a in taps),
@@ -168,8 +174,8 @@ def achievable_secrecy_rate(net: WiretapNetwork, via_flow: bool = False) -> Frac
 
 
 def admissible_by_separation(net: WiretapNetwork, entropy) -> bool:
-    """Can a single source of the given entropy ride this network with
-    perfect secrecy, using coding only on the source edges?"""
+    """Does the separation bound alone cover a source of this entropy?
+    `secrecy_rate` gives the exact answer."""
     if isinstance(entropy, float):
         raise ParameterError("entropy must be exact (int/Fraction)")
     return Fraction(entropy) <= achievable_secrecy_rate(net)

@@ -17,10 +17,10 @@ from smdc.errors import RegionViolationError
 from smdc.exactlp import OPTIMAL
 from smdc.fields import GF5, binary8_field, prime_field
 from smdc.multilevel import SmdcParams, encode as smdc_encode, plan, rate_of
+from region_oracle import superposition_extended_system
 from smdc.region import (min_sum_rate, rate_var_names, region,
-                         smdc_min_sum_rate, superposition_extended_system,
-                         superposition_region, corner_points,
-                         vertices_brute_force)
+                         smdc_min_sum_rate, superposition_region,
+                         corner_points, vertices_brute_force)
 from smdc.single_level import encode_with_layout, rate_layout, symmetric_layout
 from smdc.verify import (check_perfect_secrecy, check_prop2_inequality,
                          check_reconstruction, code_for_layout,

@@ -1,6 +1,7 @@
 """Command line behaviour, driven through entry() for speed."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -243,6 +244,20 @@ def test_region_combined_mode(capsys):
     capsys.readouterr()
 
 
+def test_region_names_the_weighted_row_a_point_breaks(capsys):
+    assert entry(["region", "--L", "4", "--N", "1", "--entropies", "1,1,1",
+                  "--rates", "3,5/2,2,1"]) == EXIT_INFEASIBLE
+    membership = json.loads(capsys.readouterr().out)["membership"]
+    assert membership["violated_subsets"] == [[2, 3, 4]]
+    assert membership["violated_inequalities"] == ["R2 + R3 + 2*R4 >= 7"]
+
+    assert entry(["region", "--L", "3", "--N", "1", "--m", "3",
+                  "--rates", "1/2,1/4,1/2"]) == EXIT_INFEASIBLE
+    membership = json.loads(capsys.readouterr().out)["membership"]
+    assert membership["violated_inequalities"] == [
+        "R2 + R3 >= 1", "R1 + R2 >= 1"]
+
+
 def test_wn_command(capsys):
     assert entry(["wn", "--length", "3", "--wiretap", "1", "--threshold", "2",
                   "--rates", "1,1,1", "--entropy", "1", "--flow",
@@ -316,3 +331,64 @@ def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         entry([])
     assert exc.value.code == EXIT_USAGE
+
+
+def test_wn_takes_uneven_rates_that_region_accepts(capsys):
+    # one rate of 1 carries a unit source at threshold 2 with one tap;
+    # the weakest user cut (2) less the strongest tap (5) says otherwise
+    argv = ["--L", "3", "--N", "1", "--m", "2", "--rates", "1,1,5"]
+    assert entry(["wn", *argv, "--entropy", "1"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["secrecy_rate"] == [1, 1]
+    assert report["weakest_user_cut"] == [2, 1]
+    assert report["strongest_wiretap_cut"] == [5, 1]
+    assert entry(["region", *argv, "--entropies", "1"]) == EXIT_OK
+    assert entry(["wn", *argv, "--entropy", "11/10"]) == EXIT_INFEASIBLE
+    capsys.readouterr()
+
+
+def test_wn_region_and_rate_layout_agree_on_uneven_rates(capsys):
+    from smdc.coset import CosetCodeSpec
+    from smdc.errors import RegionViolationError
+    from smdc.fields import binary8_field
+    from smdc.single_level import rate_layout
+
+    rng = random.Random(20261018)
+    field = binary8_field()
+    verdicts = set()
+    for _ in range(120):
+        length = rng.randrange(2, 8)
+        threshold = rng.randrange(2, length + 1)
+        wiretap = rng.randrange(1, threshold)
+        rates = [Fraction(rng.randrange(0, 7), rng.randrange(1, 4))
+                 for _ in range(length)]
+        k = threshold - wiretap
+        exact = sum(sorted(rates)[:k])
+        entropy = rng.choice([exact, exact + Fraction(1, 6),
+                              max(exact - Fraction(1, 6), Fraction(1, 6))])
+        if entropy == 0:
+            entropy = Fraction(1, 6)
+        argv = ["--L", str(length), "--N", str(wiretap), "--m",
+                str(threshold), "--rates", ",".join(map(str, rates))]
+        wn_code = entry(["wn", *argv, "--entropy", str(entropy), "--flow"])
+        report = json.loads(capsys.readouterr().out)
+        region_code = entry(["region", *argv, "--entropies", str(entropy)])
+        capsys.readouterr()
+        spec = CosetCodeSpec(field, length, wiretap, threshold)
+        try:
+            rate_layout(spec, 6, [r / entropy for r in rates])
+            layout_code = EXIT_OK
+        except RegionViolationError:
+            layout_code = EXIT_INFEASIBLE
+        assert wn_code == region_code == layout_code, (argv, entropy)
+        assert report["secrecy_rate"] == [exact.numerator, exact.denominator]
+        # the exact rate is each user's cut less the strongest tap inside it
+        cuts = {tuple(map(int, u.split(","))): Fraction(*v)
+                for u, v in report["user_cuts"].items()}
+        taps = {tuple(map(int, a.split(","))) if a else (): Fraction(*v)
+                for a, v in report["wiretap_cuts"].items()}
+        assert exact == min(c - max(v for a, v in taps.items()
+                                    if set(a) <= set(u))
+                            for u, c in cuts.items())
+        verdicts.add(wn_code)
+    assert verdicts == {EXIT_OK, EXIT_INFEASIBLE}

@@ -1,21 +1,28 @@
-"""Rate-region tests: frozen geometry, FM elimination, LP cross-checks."""
+"""Rate-region tests: frozen geometry, the combined region against its
+Fourier-Motzkin projection, LP cross-checks."""
 
+import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from smdc.errors import ParameterError, RowBudgetError
-from smdc.exactlp import OPTIMAL
+from region_oracle import (RowBudgetError, chamber_rays_by_subsets,
+                           fm_eliminate, fm_superposition_region,
+                           superposition_extended_system)
+from smdc.errors import ParameterError
+from smdc.exactlp import OPTIMAL, solve_lp
 from smdc.region import (
     Inequality,
     InequalitySystem,
     LinExpr,
+    _exposed_face_rank,
+    _facet_orbits,
     corner_points,
-    fm_eliminate,
     min_sum_rate,
     region,
     smdc_min_sum_rate,
-    superposition_extended_system,
+    superposition_corner_points,
     superposition_region,
     vertices_brute_force,
     violated_subsets,
@@ -248,3 +255,126 @@ def test_json_round_trip():
     assert back == sys_
     num = region(4, 2, F(7, 5)).canonical()
     assert InequalitySystem.from_json(num.to_json()) == num
+
+
+# --- the combined region against Fourier-Motzkin ---------------------------------
+
+def _implied(rows, coeffs, bound) -> bool:
+    """Exact LP: does coeffs . x >= bound follow from rows, x free?"""
+    split = [list(r.coeffs) + [-c for c in r.coeffs] for r in rows]
+    res = solve_lp(list(coeffs) + [-c for c in coeffs], a_ge=split,
+                   b_ge=[r.bound.constant_value() for r in rows])
+    return res.status == OPTIMAL and res.objective >= bound
+
+
+# (L, N, entropies): every shape where the projection finishes quickly,
+# with entropies that differ per level, and two with an empty level
+FM_SHAPES = [
+    (2, 1, [F(3, 2)]),
+    (3, 0, [F(1), F(2, 3), F(5, 4)]),
+    (3, 1, [F(2), F(1, 3)]),
+    (3, 2, [F(7, 5)]),
+    (4, 1, [F(1), F(1), F(1)]),
+    (4, 2, [F(3, 2), F(1)]),
+    (4, 3, [F(2)]),
+    (3, 0, [F(1), F(0), F(2)]),
+    (4, 2, [F(0), F(1)]),
+]
+
+
+@pytest.mark.parametrize("length,n,hs", FM_SHAPES)
+def test_facets_equal_fm_rows_after_lp_pruning(length, n, hs):
+    new = superposition_region(length, n, hs)
+    fm = fm_superposition_region(length, n, hs)
+    # every facet is a row of any description of the same region ...
+    assert set(new.rows) <= set(fm.rows)
+    # ... the facets alone cut out the projection: each corner of the new
+    # system (brute force) satisfies every projected row, whose
+    # coefficients are nonnegative like the facets' ...
+    assert all(c >= 0 for r in fm.rows for c in r.coeffs)
+    assert all(fm.contains(x) for x in vertices_brute_force(new))
+    # ... and no facet follows from the others, so exact-LP pruning of the
+    # projection leaves exactly the facets.  The rows are closed under
+    # permuting the encoders, so one row per orbit is enough.
+    rows = set(new.rows)
+    assert rows == {Inequality(tuple(r.coeffs[i] for i in perm), r.bound)
+                    for r in rows for perm in permutations(range(length))}
+    for r in rows:
+        if list(r.coeffs) == sorted(r.coeffs):
+            others = [o for o in new.rows if o != r]
+            assert not _implied(others, r.coeffs, r.bound.constant_value())
+
+
+@pytest.mark.parametrize("length,n", [(3, 0), (3, 1), (3, 2), (4, 2), (4, 3),
+                                      (5, 3)])
+def test_membership_agrees_with_fm_on_random_points(length, n):
+    rng = random.Random(1000 * length + n)
+    for _ in range(3):
+        hs = [F(rng.randrange(0, 7), rng.randrange(1, 4))
+              for _ in range(length - n)]
+        new = superposition_region(length, n, hs)
+        fm = fm_superposition_region(length, n, hs)
+        top = sum(hs) + 1
+        for _ in range(40):
+            point = [F(rng.randrange(0, 4 * int(top) + 1), 4)
+                     for _ in range(length)]
+            assert new.contains(point) == fm.contains(point), (hs, point)
+
+
+def test_symbolic_rows_evaluate_to_numeric_rows():
+    sym = superposition_region(4, 1)
+    for hs in ([1, 1, 1], [F(1, 2), 3, F(2, 7)]):
+        values = dict(zip(("H1", "H2", "H3"), hs))
+        assert superposition_region(4, 1, hs).rows == sym.evaluate(values).rows
+
+
+@pytest.mark.parametrize("length,n", [(2, 1), (3, 0), (3, 1), (4, 0), (4, 1),
+                                      (4, 2), (5, 1), (5, 3), (6, 3)])
+def test_combined_system_is_already_canonical(length, n):
+    got = superposition_region(length, n, [1] * (length - n))
+    assert got == got.canonical()
+
+
+def test_combined_region_reaches_where_fm_stops():
+    # the projection runs past its row budget at (4,0) and (6,3)
+    for length, n, rows in ((4, 0, 53), (6, 3, 101)):
+        hs = [F(k + 1, 3) for k in range(length - n)]
+        got = superposition_region(length, n, hs)
+        assert len(got.rows) == rows
+        corners = superposition_corner_points(length, n, hs)
+        assert all(got.contains(x) for x in corners)
+        assert min(sum(x) for x in corners) == smdc_min_sum_rate(length, n, hs)
+
+
+@pytest.mark.parametrize("length,n", [(2, 0), (3, 0), (3, 1), (4, 0), (4, 1),
+                                      (4, 2), (5, 1), (5, 2), (5, 3), (6, 3),
+                                      (6, 4)])
+def test_chamber_walk_finds_every_facet_of_the_subset_search(length, n):
+    levels = tuple(range(1, length - n + 1))
+    want = set()
+    for ray in chamber_rays_by_subsets(length, levels):
+        if _exposed_face_rank(ray, levels) == length - 1:
+            scale = 1 / min(a for a in ray if a != 0)
+            want.add(tuple(a * scale for a in ray))
+    got = {tuple(F(a, min(v for v in alpha if v)) for a in alpha)
+           for alpha, _ in _facet_orbits(length, levels)}
+    assert got == want
+
+
+CORNER_SHAPES = [(3, 0, [1, 1, 1]), (3, 1, [1, 1]), (3, 1, [2, F(1, 3)]),
+                 (4, 2, [F(3, 2), 1]), (5, 3, [1, 2]), (3, 0, [1, 0, 2])]
+
+
+@pytest.mark.parametrize("length,n,hs", CORNER_SHAPES)
+def test_combined_corners_match_brute_force_of_fm(length, n, hs):
+    got = superposition_corner_points(length, n, hs)
+    fm = fm_superposition_region(length, n, hs)
+    assert got == vertices_brute_force(fm)
+    new = superposition_region(length, n, hs)
+    if new != fm:
+        assert got == vertices_brute_force(new)
+
+
+def test_combined_region_rejects_negative_entropy():
+    with pytest.raises(ParameterError):
+        superposition_region(3, 1, [1, -1])
