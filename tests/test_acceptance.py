@@ -11,13 +11,13 @@ from fractions import Fraction
 from itertools import combinations, product
 from time import monotonic
 
+from region_oracle import superposition_extended_system
 from smdc.cli import EXIT_INFEASIBLE, EXIT_OK, entry
 from smdc.coset import CosetCodeSpec
 from smdc.errors import RegionViolationError
 from smdc.exactlp import OPTIMAL
 from smdc.fields import GF5, binary8_field, prime_field
 from smdc.multilevel import SmdcParams, encode as smdc_encode, plan, rate_of
-from region_oracle import superposition_extended_system
 from smdc.region import (min_sum_rate, rate_var_names, region,
                          smdc_min_sum_rate, superposition_region,
                          corner_points, vertices_brute_force)
