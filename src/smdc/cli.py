@@ -20,10 +20,10 @@ from .errors import (BudgetExceededError, DecodeFailureError,
                      RegionViolationError, ShareFormatError, SmdcError)
 from .fields import FieldSpec, _is_prime, binary8_field, prime_field
 from .multilevel import SmdcParams, plan as multilevel_plan
-from .region import (corner_points, min_sum_rate, region,
-                     smdc_min_sum_rate, superposition_corner_points,
+from .region import (_one_level, smdc_min_sum_rate, superposition_corner_points,
                      superposition_region, violated_subsets)
-from .region import vertices_brute_force  # noqa: F401  (perfbench span)
+from .region import (corner_points, min_sum_rate, region,  # noqa: F401
+                     vertices_brute_force)  # bound only for perfbench spans
 from .shareio import (field_to_id, join_files, read_share, split_files,
                       symbols_per_byte, write_share, _atomic_write)
 from .single_level import symmetric_layout
@@ -208,27 +208,21 @@ def _cmd_join(args) -> int:
 def _cmd_region(args) -> int:
     params: dict = {"length": args.length, "wiretap": args.wiretap}
     if args.threshold is not None:
-        k = args.threshold - args.wiretap
-        if k < 1:
-            raise ParameterError("need threshold > wiretap")
-        hs = _parse_fractions(args.entropies or "1")
-        if len(hs) != 1:
+        h = _parse_fractions(args.entropies or "1")
+        if len(h) != 1:
             raise ParameterError("a single level takes one entropy")
-        system = region(args.length, k, hs[0]).canonical()
-        params["threshold"] = args.threshold
-        params["entropy"] = _pair(hs[0])
-        corners = corner_points(args.length, k, hs[0])
-        total = min_sum_rate(args.length, k, hs[0])
+        params.update(threshold=args.threshold, entropy=_pair(h[0]))
+        hs = _one_level(args.length - args.wiretap, args.threshold - args.wiretap, h[0])
     else:
         if args.entropies is None:
             raise ParameterError("the combined region needs --entropies with "
                                  f"{args.length - args.wiretap} values")
         hs = _parse_fractions(args.entropies)
-        system = superposition_region(args.length, args.wiretap, hs)
         params["entropies"] = [_pair(h) for h in hs]
-        corners = (superposition_corner_points(args.length, args.wiretap, hs)
-                   if args.corners else None)
-        total = smdc_min_sum_rate(args.length, args.wiretap, hs)
+    system = superposition_region(args.length, args.wiretap, hs)
+    corners = (superposition_corner_points(args.length, args.wiretap, hs)
+               if args.corners or args.threshold is not None else None)
+    total = smdc_min_sum_rate(args.length, args.wiretap, hs)
 
     report = {
         "parameters": params,

@@ -6,14 +6,14 @@ named nonnegative parameters (source entropies), so one system can be
 manipulated symbolically and later evaluated at concrete values.  All
 arithmetic is Fraction-exact.
 
-The single-code region for L encoders with reconstruction threshold k
-(decode from any k of the L outputs after key removal) is every k-subset
-of rates summing to at least the source entropy, plus nonnegativity.
-The layered scheme's total-rate region is the Minkowski sum of
-region(L, k, H_k) over its levels k = 1..L-N.  It comes from its support
+One source with L encoders and threshold k (any k outputs decode it after
+key removal) admits the rates whose every k-subset covers its entropy H:
+region(L, k, H).  The layered scheme's total-rate region is the Minkowski
+sum of region(L, k, H_k) over its levels k = 1..L-N, and one source is its
+one-level case (H on level k, 0 elsewhere).  It comes from the support
 function h(alpha) = sum_k H_k * min_{z<k} S_{L-z}(alpha) / (k-z), where
 S_j sums the j smallest weights: each facet is a sorted alpha around
-which h is not linear, and gives one row per distinct permutation (cf.
+which h is not linear, and gives one row per distinct ordering (cf.
 Yeung and Zhang, IEEE Trans. IT 45(2), 1999, for the non-secure case).
 """
 
@@ -23,9 +23,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, groupby, permutations, product
+from itertools import accumulate, combinations, product
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParameterError
 from .exactlp import LpResult, solve_lp
@@ -367,39 +367,22 @@ def region(length: int, k: int, entropy) -> InequalitySystem:
 def violated_subsets(system: InequalitySystem, point: Sequence,
                      params: Mapping | None = None) -> list[tuple[int, ...]]:
     """1-based encoder subsets whose sum-rate rows fail at the point."""
-    out = []
-    for r in system.violated_rows(point, params):
-        out.append(tuple(i + 1 for i in r.support()))
-    return out
+    return [tuple(i + 1 for i in r.support())
+            for r in system.violated_rows(point, params)]
 
 
 def min_sum_rate(length: int, k: int, entropy):
-    """Smallest achievable total rate, (L/k) * H.
-
-    The closed form; tests compare it against the LP over region(L, k, H).
-    """
+    """Smallest achievable total rate, (L/k) * H: the combined region's
+    minimum with entropy H on level k alone."""
     _check_lk(length, k)
-    h = LinExpr.coerce(entropy)
-    value = h * Fraction(length, k)
-    return value.constant_value() if h.is_constant else value
+    return smdc_min_sum_rate(length, length - k, _one_level(k, k, entropy))
 
 
 def corner_points(length: int, k: int, entropy) -> tuple[tuple[Fraction, ...], ...]:
-    """Extreme points of region(L, k, H), built recursively: the all-equal
-    point (when it is extreme) plus a zero coordinate prepended to every
-    corner of the one-smaller region."""
+    """Extreme points of region(L, k, H): the combined region's corners with
+    entropy H on level k alone."""
     _check_lk(length, k)
-    h = _frac(entropy)
-    if h < 0:
-        raise ParameterError("entropy must be nonnegative")
-    pts: set[tuple[Fraction, ...]] = set()
-    if k < length or length == 1:
-        pts.add((Fraction(h, k),) * length)
-    if k >= 2:
-        for sub in corner_points(length - 1, k - 1, h):
-            for pos in range(length):
-                pts.add(sub[:pos] + (_ZERO,) + sub[pos:])
-    return tuple(sorted(pts))
+    return superposition_corner_points(length, length - k, _one_level(k, k, entropy))
 
 
 def vertices_brute_force(system: InequalitySystem,
@@ -413,17 +396,17 @@ def vertices_brute_force(system: InequalitySystem,
         reduced, pivots = _echelon([rows[i][0] + [rows[i][1]] for i in combo])
         if pivots != list(range(n)):
             continue
-        x = [row[n] for row in reduced]
+        x = [Fraction(row[n], row[i]) for i, row in enumerate(reduced)]
         if all(sum(c * v for c, v in zip(coeffs, x)) >= bound
                for coeffs, bound in rows):
             found.add(tuple(x))
     return tuple(sorted(found))
 
 
-def _echelon(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals: the nonzero rows and
-    their pivot columns."""
-    m = [[Fraction(v) for v in row] for row in rows]
+def _echelon(rows) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over the rationals, kept fraction-free: the
+    nonzero rows as primitive integer rows, and their pivot columns."""
+    m = [_integer_row(row) for row in rows]
     pivots: list[int] = []
     for c in range(len(m[0]) if m else 0):
         r = len(pivots)
@@ -431,16 +414,18 @@ def _echelon(rows) -> tuple[list[list[Fraction]], list[int]]:
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        m[r] = [v / m[r][c] for v in m[r]]
-        for i, row in enumerate(m):
-            if i != r and row[c]:
-                m[i] = [v - row[c] * w for v, w in zip(row, m[r])]
+        p = m[r]
+        m = [_integer_row([v * p[c] - row[c] * w for v, w in zip(row, p)])
+             if i != r and row[c] else row for i, row in enumerate(m)]
         pivots.append(c)
     return m[:len(pivots)], pivots
 
 
-def _rank(vectors) -> int:
-    return len(_echelon(vectors)[1])
+def _integer_row(vec) -> list[int]:
+    scale = lcm(*(v.denominator for v in vec))
+    row = [v.numerator * (scale // v.denominator) for v in vec]
+    g = gcd(*row) or 1
+    return [v // g for v in row]
 
 
 # --- multilevel (superposed) regions ----------------------------------------------
@@ -458,6 +443,38 @@ def _level_entropies(length: int, n_wiretap: int, entropies) -> list[LinExpr]:
     if not all(h.provably_nonneg() for h in hs):
         raise ParameterError("entropies must be nonnegative")
     return hs
+
+
+def _one_level(count: int, k: int, entropy) -> list:
+    """Entropies of `count` levels with `entropy` on level k alone."""
+    if not 1 <= k <= count:
+        raise ParameterError(f"need 0 < m - N <= L - N, got m - N = {k}, L - N = {count}")
+    return [_ZERO] * (k - 1) + [entropy] + [_ZERO] * (count - k)
+
+
+def _orderings(values: Sequence) -> Iterator[tuple]:
+    """Each distinct ordering of values once, in lexicographic order
+    (Knuth's Algorithm L), instead of every permutation deduplicated."""
+    a = sorted(values)
+    while True:
+        yield tuple(a)
+        i = next((i for i in range(len(a) - 2, -1, -1) if a[i] < a[i + 1]), None)
+        if i is None:
+            return
+        j = next(j for j in range(len(a) - 1, i, -1) if a[j] > a[i])
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
+
+
+def _swaps(base: Sequence, block: Sequence[int]) -> Iterator[list]:
+    """base with each position of block swapped with the first unlike entry:
+    with base, they span every rearrangement of base within the block."""
+    for j in block:
+        i = next((i for i in block if base[i] != base[j]), None)
+        if i is not None:
+            v = list(base)
+            v[i], v[j] = v[j], v[i]
+            yield v
 
 
 def _level_support(alpha: Sequence[Fraction], k: int) -> list[Fraction]:
@@ -509,14 +526,12 @@ def _exposed_face_rank(alpha: Sequence[Fraction], levels: tuple[int, ...]) -> in
         cost = _level_support(alpha, k)
         points = []
         for z in (z for z in range(k) if cost[z] == min(cost)):
-            cut = alpha[length - z] if z else None
-            above = tuple(i for i in range(z and length) if alpha[i] > cut)
-            ties = [i for i in range(z and length) if alpha[i] == cut]
-            points.extend([_ZERO if i in above + extra else Fraction(1, k - z)
-                           for i in range(length)]
-                          for extra in combinations(ties, z - len(above)))
+            base = [Fraction(1, k - z) if i < length - z else _ZERO
+                    for i in range(length)]
+            ties = [i for i in range(length) if z and alpha[i] == alpha[-z]]
+            points += [base, *_swaps(base, ties)]
         spread.extend([a - b for a, b in zip(p, points[0])] for p in points[1:])
-    return _rank(spread)
+    return len(_echelon(spread)[1])
 
 
 @lru_cache(maxsize=64)
@@ -542,8 +557,7 @@ def superposition_region(length: int, n_wiretap: int, entropies=None) -> Inequal
     rows = []
     for alpha, weights in _facet_orbits(length, levels):
         bound = sum((hs[k - 1] * w for k, w in zip(levels, weights)), LinExpr())
-        rows.extend(Inequality.make(perm, bound)
-                    for perm in set(permutations(alpha)))
+        rows.extend(Inequality.make(perm, bound) for perm in _orderings(alpha))
     # facets never imply one another, so this is already canonical();
     # sorting gives its row order without its pairwise dominance scan
     rows.sort(key=Inequality.sort_key)
@@ -561,25 +575,24 @@ def superposition_corner_points(length: int, n_wiretap: int,
     levels = tuple(k for k, h in enumerate(hs, start=1) if h)
     orbits = [(alpha, sum(hs[k - 1] * w for k, w in zip(levels, weights)))
               for alpha, weights in _facet_orbits(length, levels)]
-    corners: set[tuple[Fraction, ...]] = set()
-    for zs in product(*(range(k) for k in range(1, len(hs) + 1))):
-        x = tuple(sum((h / (k - z) for k, (h, z) in enumerate(zip(hs, zs), 1)
-                       if i < length - z), _ZERO) for i in range(length))
-        if x not in corners and _rank(_tight_rows(x, orbits)) == length:
-            corners.update(permutations(x))
-    return tuple(sorted(corners))
+    candidates = {tuple(sum((hs[k - 1] / (k - z) for k, z in zip(levels, zs)
+                            if i < length - z), _ZERO) for i in range(length))
+                  for zs in product(*(range(k) for k in levels))}
+    # each candidate is non-increasing, so their orderings never overlap
+    return tuple(sorted(c for x in candidates
+                        if len(_echelon(_tight_rows(x, orbits))[1]) == length
+                        for c in _orderings(x)))
 
 
-def _tight_rows(x: tuple[Fraction, ...], orbits) -> list[tuple[int, ...]]:
-    """Facet normals tight at a non-increasing point x.  An orbit touches x
-    when its ascending normal does; its tight rows then give each block of
-    equal entries of x the same slice of that normal, in any order."""
-    ends = list(accumulate(len(list(g)) for _, g in groupby(x)))
+def _tight_rows(x: tuple[Fraction, ...], orbits) -> list[Sequence[int]]:
+    """Rows spanning the facets tight at a non-increasing point x.  An orbit
+    touches x when its ascending normal does; its tight rows then give each
+    block of equal entries of x the same slice of that normal, in any order."""
+    blocks = [[i for i, w in enumerate(x) if w == v] for v in set(x)]
     tight = []
     for alpha, bound in orbits:
         if sum(a * v for a, v in zip(alpha, x)) == bound:
-            slices = [set(permutations(alpha[a:b])) for a, b in zip([0] + ends, ends)]
-            tight.extend(sum(parts, ()) for parts in product(*slices))
+            tight += [alpha, *(v for b in blocks for v in _swaps(alpha, b))]
     return tight
 
 
@@ -587,7 +600,5 @@ def smdc_min_sum_rate(length: int, n_wiretap: int, entropies):
     """Minimum total rate of the layered scheme: sum over sources of
     (L/k) * H_k."""
     hs = _level_entropies(length, n_wiretap, entropies)
-    total = LinExpr()
-    for k, h in enumerate(hs, start=1):
-        total = total + h * Fraction(length, k)
+    total = sum((h * Fraction(length, k) for k, h in enumerate(hs, start=1)), LinExpr())
     return total.constant_value() if total.is_constant else total

@@ -85,11 +85,6 @@ class BundleLayout:
     def emitted(self, encoder: int) -> int:
         return sum(r.count for r in self.runs if encoder in r.active)
 
-    def emitted_rate(self, encoder: int) -> Fraction:
-        if self.message_symbols == 0:
-            return Fraction(0)
-        return Fraction(self.emitted(encoder), self.message_symbols)
-
 
 @dataclass(frozen=True)
 class SsdcShareBundle:

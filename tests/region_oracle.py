@@ -6,15 +6,18 @@ per-level rates out of that lifted system by Fourier-Motzkin elimination
 gives the combined region the slow, obvious way; `smdc.region` computes
 it from its support function instead.  The chamber-ray enumeration here
 tries every (L-1)-subset of the sorted chamber's walls and of every
-pairwise breakpoint of every level.
+pairwise breakpoint of every level.  The face and tight-row ranks here
+take every arrangement of tied entries, where `smdc.region` takes a
+spanning set of swaps, and eliminate over Fractions.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations, groupby, permutations, product
 from typing import Sequence
 
 from smdc.errors import ParameterError, SmdcError
-from smdc.region import Inequality, InequalitySystem, LinExpr, rate_var_names
+from smdc.region import (Inequality, InequalitySystem, LinExpr, _level_support,
+                         rate_var_names)
 
 _ZERO = Fraction(0)
 
@@ -176,3 +179,52 @@ def chamber_rays_by_subsets(length: int, levels) -> set[tuple[Fraction, ...]]:
                 rays.add(tuple(x))
             break
     return rays
+
+
+def rank_by_fractions(vectors) -> int:
+    """Rank over the rationals by Gaussian elimination on Fractions."""
+    m = [[Fraction(v) for v in row] for row in vectors]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c] / m[rank][c]
+            m[i] = [v - f * w for v, w in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def exposed_face_rank_by_arrangements(alpha: Sequence[Fraction], levels) -> int:
+    """Dimension of the face that alpha exposes, from every cheapest corner
+    of every level: zeros on each choice among the tied largest entries."""
+    length = len(alpha)
+    spread = [[Fraction(i == j) for j in range(length)]
+              for i in range(length) if alpha[i] == 0]
+    for k in levels:
+        cost = _level_support(alpha, k)
+        points = []
+        for z in (z for z in range(k) if cost[z] == min(cost)):
+            cut = alpha[length - z] if z else None
+            above = tuple(i for i in range(z and length) if alpha[i] > cut)
+            ties = [i for i in range(z and length) if alpha[i] == cut]
+            points.extend([_ZERO if i in above + extra else Fraction(1, k - z)
+                           for i in range(length)]
+                          for extra in combinations(ties, z - len(above)))
+        spread.extend([a - b for a, b in zip(p, points[0])] for p in points[1:])
+    return rank_by_fractions(spread)
+
+
+def tight_rows_by_arrangements(x: Sequence[Fraction], orbits) -> list[tuple]:
+    """Every facet row tight at a non-increasing point x: each tight orbit's
+    ascending normal with its slice on each block of equal entries of x in
+    every order."""
+    ends = list(accumulate(len(list(g)) for _, g in groupby(x)))
+    tight = []
+    for alpha, bound in orbits:
+        if sum(a * v for a, v in zip(alpha, x)) == bound:
+            slices = [set(permutations(alpha[a:b])) for a, b in zip([0] + ends, ends)]
+            tight.extend(sum(parts, ()) for parts in product(*slices))
+    return tight

@@ -211,6 +211,23 @@ def test_region_command(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("wiretap,threshold,code", [
+    ("3", "4", EXIT_USAGE), ("5", "6", EXIT_USAGE), ("-1", "1", EXIT_USAGE),
+    ("0", "2", EXIT_OK)])
+def test_region_single_level_refuses_the_shapes_wn_refuses(wiretap, threshold,
+                                                             code, capsys):
+    assert entry(["region", "--L", "3", "--N", wiretap,
+                  "--m", threshold]) == code
+    assert bool(capsys.readouterr().out) == (code == EXIT_OK)
+
+
+def test_region_single_level_report_at_l_12(capsys):
+    assert entry(["region", "--L", "12", "--N", "2", "--m", "10"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["inequalities"]) == 507
+    assert len(report["corner_points"]) == 3302
+
+
 def test_region_report_round_trips(capsys):
     from smdc.region import InequalitySystem, region
 

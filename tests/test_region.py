@@ -3,21 +3,27 @@ Fourier-Motzkin projection, LP cross-checks."""
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 from region_oracle import (RowBudgetError, chamber_rays_by_subsets,
-                           fm_eliminate, fm_superposition_region,
-                           superposition_extended_system)
+                           exposed_face_rank_by_arrangements, fm_eliminate,
+                           fm_superposition_region, rank_by_fractions,
+                           superposition_extended_system,
+                           tight_rows_by_arrangements)
 from smdc.errors import ParameterError
 from smdc.exactlp import OPTIMAL, solve_lp
 from smdc.region import (
     Inequality,
     InequalitySystem,
     LinExpr,
+    _chamber_rays,
+    _echelon,
     _exposed_face_rank,
     _facet_orbits,
+    _one_level,
+    _tight_rows,
     corner_points,
     min_sum_rate,
     region,
@@ -359,6 +365,46 @@ def test_chamber_walk_finds_every_facet_of_the_subset_search(length, n):
     got = {tuple(F(a, min(v for v in alpha if v)) for a in alpha)
            for alpha, _ in _facet_orbits(length, levels)}
     assert got == want
+
+
+@pytest.mark.parametrize("length,n", [(length, n) for length in range(1, 7)
+                                      for n in range(length)])
+def test_spanning_swaps_give_the_rank_of_every_arrangement(length, n):
+    # the rank of a face or of the rows tight at a corner candidate, from a
+    # base arrangement plus one swap per tied position, against every
+    # arrangement of the ties ranked over Fractions
+    levels = tuple(range(1, length - n + 1))
+    for ray in _chamber_rays(length, levels):
+        want = exposed_face_rank_by_arrangements(ray, levels)
+        assert _exposed_face_rank(ray, levels) == want, ray
+    orbits = [(alpha, sum(weights))
+              for alpha, weights in _facet_orbits(length, levels)]
+    for zs in product(*(range(k) for k in levels)):
+        x = tuple(sum((F(1, k - z) for k, z in zip(levels, zs) if i < length - z),
+                      F(0)) for i in range(length))
+        want = rank_by_fractions(tight_rows_by_arrangements(x, orbits))
+        assert len(_echelon(_tight_rows(x, orbits))[1]) == want, x
+
+
+@pytest.mark.parametrize("length", range(1, 9))
+def test_single_level_rows_are_the_one_level_combined_rows(length):
+    for k in range(1, length + 1):
+        for n in {0, length - k}:
+            for h in (F(0), F(1), F(3, 2)):
+                got = superposition_region(length, n, _one_level(length - n, k, h))
+                assert got == region(length, k, h).canonical(), (k, n, h)
+
+
+def test_one_level_refuses_a_level_beyond_l_minus_n():
+    assert _one_level(3, 2, F(1)) == [0, F(1), 0]
+    for count, k in ((0, 1), (-2, 1), (2, 3), (2, 0)):
+        with pytest.raises(ParameterError):
+            _one_level(count, k, F(1))
+
+
+def test_one_level_rows_are_distinct_orderings():
+    # 12 rows from the orderings of each facet normal, not 12! permutations
+    assert len(superposition_region(12, 11, [1]).rows) == 12
 
 
 CORNER_SHAPES = [(3, 0, [1, 1, 1]), (3, 1, [1, 1]), (3, 1, [2, F(1, 3)]),
