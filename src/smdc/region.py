@@ -575,19 +575,28 @@ def superposition_corner_points(length: int, n_wiretap: int,
     levels = tuple(k for k, h in enumerate(hs, start=1) if h)
     orbits = [(alpha, sum(hs[k - 1] * w for k, w in zip(levels, weights)))
               for alpha, weights in _facet_orbits(length, levels)]
-    candidates = {tuple(sum((hs[k - 1] / (k - z) for k, z in zip(levels, zs)
-                            if i < length - z), _ZERO) for i in range(length))
+    spread = {(k, z): hs[k - 1] / (k - z) for k in levels for z in range(k)}
+    # one common denominator keeps candidates, bounds and every tightness
+    # test in integer arithmetic
+    scale = lcm(*(v.denominator for v in spread.values()),
+                *(bound.denominator for _, bound in orbits))
+    spread = {kz: int(v * scale) for kz, v in spread.items()}
+    orbits = [(alpha, int(bound * scale)) for alpha, bound in orbits]
+    candidates = {tuple(sum(spread[k, z] for k, z in zip(levels, zs)
+                            if i < length - z) for i in range(length))
                   for zs in product(*(range(k) for k in levels))}
     # each candidate is non-increasing, so their orderings never overlap
-    return tuple(sorted(c for x in candidates
-                        if len(_echelon(_tight_rows(x, orbits))[1]) == length
-                        for c in _orderings(x)))
+    corners = sorted(c for x in candidates
+                     if len(_echelon(_tight_rows(x, orbits))[1]) == length
+                     for c in _orderings(x))
+    return tuple(tuple(Fraction(v, scale) for v in c) for c in corners)
 
 
-def _tight_rows(x: tuple[Fraction, ...], orbits) -> list[Sequence[int]]:
-    """Rows spanning the facets tight at a non-increasing point x.  An orbit
-    touches x when its ascending normal does; its tight rows then give each
-    block of equal entries of x the same slice of that normal, in any order."""
+def _tight_rows(x: Sequence[int], orbits) -> list[Sequence[int]]:
+    """Rows spanning the facets tight at a non-increasing integer point x,
+    given integer bounds.  An orbit touches x when its ascending normal
+    does; its tight rows then give each block of equal entries of x the
+    same slice of that normal, in any order."""
     blocks = [[i for i, w in enumerate(x) if w == v] for v in set(x)]
     tight = []
     for alpha, bound in orbits:

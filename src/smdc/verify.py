@@ -6,7 +6,9 @@ own codes, the shipped array codec that writes share files), keeps the
 batches in word order as the exact joint distribution, takes integer
 counts over a common denominator by grouping words of equal value, and
 then decides statements about it with no floating point in the decision
-path:
+path.  Each variable set is grouped once per distribution and memoized;
+a compound set is grouped from its parts' group ids, and wherever the
+packed values are dense the grouping is a table lookup, with no sort:
 
 * perfect secrecy against a tap subset is exact factorization of the
   joint distribution of (sources, tapped shares);
@@ -22,7 +24,7 @@ the float agrees with the exact value to 1e-12.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -171,6 +173,9 @@ class JointDistribution:
     total: int
     sources: tuple
     shares: tuple
+    # groupings of recently used variable sets, by label set (_grouping)
+    _groupings: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
 
 # Words per encode_fn call: big enough that a call costs little per word,
@@ -199,37 +204,73 @@ def _columns(batch) -> list:
     return list(np.asarray(batch, dtype=np.int64).T)
 
 
+# A key spanning at most this many values per word is ranked through a
+# span-sized table; wider keys are sorted.
+DENSE_SPAN = 4
+
+
+def _rank(key: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group words by an int64 key in [0, span): a group id per word, ids
+    numbered by first appearance in word order, and each group's first
+    word.  A dense key finds first words in a span-sized table, with no
+    sort; a sparse one goes through np.unique.  Both give the same ids."""
+    words = len(key)
+    if span > DENSE_SPAN * words:
+        _, first, inverse = np.unique(key, return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first)
+        return np.argsort(order)[inverse], first[order]
+    index = np.arange(words)
+    first = np.full(span, words)
+    np.minimum.at(first, key, index)
+    first = np.flatnonzero(first[key] == index)
+    ids = np.zeros(span, dtype=np.int64)
+    ids[key[first]] = np.arange(len(first))
+    return ids[key], first
+
+
 def _group(batch, words: int) -> tuple[np.ndarray, np.ndarray]:
     """Group the `words` words of a batch by value: a group id per word,
     ids numbered by first appearance in word order, and each group's
     first word.  Columns pack into one int64 key per word with mixed
-    radix, re-compacted to group ranks before the span could pass 2**62.
-    """
+    radix, re-compacted to group ids before the span could pass 2**62;
+    _rank groups a dense key with no sort.  The verifier's checks reach
+    this through _grouping, which memoizes it per variable set."""
     key, span = np.zeros(words, dtype=np.int64), 1
     for column in _columns(batch):
         low = column.min()
         radix = int(column.max() - low) + 1
         if span * radix > 1 << 62:
-            key = np.unique(key, return_inverse=True)[1]
-            span = int(key.max()) + 1
+            key, first = _rank(key, span)
+            span = len(first)
         key, span = key * radix + (column - low), span * radix
-    _, first, key = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return np.argsort(order)[key], first[order]
+    return _rank(key, span)
+
+
+def _deadline(budget: VerifierBudget) -> Callable[[], None]:
+    """A check that raises once budget.max_seconds have passed since now."""
+    if budget.max_seconds is None:
+        return lambda: None
+    end = time.monotonic() + budget.max_seconds
+
+    def check() -> None:
+        if time.monotonic() > end:
+            raise BudgetExceededError("verification time budget exhausted")
+
+    return check
 
 
 def enumerate_joint(code: CodeUnderTest,
                     budget: VerifierBudget = VerifierBudget()) -> JointDistribution:
     """Push every (source, key) word through the code in lexicographic
-    order, CHUNK_WORDS words per encode_fn call."""
+    order, CHUNK_WORDS words per encode_fn call, checking the time budget
+    after each call."""
     n_outcomes = code.outcome_count
     if n_outcomes > budget.max_outcomes:
         raise BudgetExceededError(
             f"{n_outcomes} outcomes exceed the budget of "
             f"{budget.max_outcomes}; refusing to enumerate")
-    deadline = None
-    if budget.max_seconds is not None:
-        deadline = time.monotonic() + budget.max_seconds
+    check_deadline = _deadline(budget)
     src_total = sum(code.source_symbols)
     ends = list(accumulate(code.source_symbols, initial=0))
     # digit weights of a word's index, most significant first: the order
@@ -238,17 +279,43 @@ def enumerate_joint(code: CodeUnderTest,
                                   dtype=np.int64)
     chunks = []
     for start in range(0, n_outcomes, CHUNK_WORDS):
-        if start and deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceededError("verification time budget exhausted")
         index = np.arange(start, min(start + CHUNK_WORDS, n_outcomes))
         words = index[:, None] // weights % code.q
         sources = tuple(words[:, a:b] for a, b in zip(ends, ends[1:]))
         shares = code.encode_fn(sources, words[:, src_total:])
         chunks.append((sources, shares))
+        check_deadline()
     sources, shares = _concat(chunks)
     return JointDistribution(code.q, code.length, code.wiretap,
                              code.source_symbols, n_outcomes,
                              sources, shares)
+
+
+# Groupings a distribution keeps: the sources plus the last few tap sets.
+GROUPINGS_KEPT = 4
+
+
+def _grouping(dist: JointDistribution, labels: Sequence[str],
+              more: Sequence[str] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """The grouping (ids, first words) of the variables in labels and more,
+    as _group gives it, memoized on dist by label set.  Given both, the
+    words are grouped by the pair of the two parts' memoized ids."""
+    key = frozenset(labels) | frozenset(more)
+    memo = dist._groupings
+    if key in memo:
+        memo[key] = memo.pop(key)
+        return memo[key]
+    if not labels or not more:
+        grouping = _group(tuple(_batch(dist, label)
+                                for label in (*labels, *more)), dist.total)
+    else:
+        a, a_first = _grouping(dist, labels)
+        b, b_first = _grouping(dist, more)
+        grouping = _rank(a * len(b_first) + b, len(a_first) * len(b_first))
+    memo[key] = grouping
+    if len(memo) > GROUPINGS_KEPT:
+        del memo[next(iter(memo))]
+    return grouping
 
 
 # --- secrecy and reconstruction ----------------------------------------------------
@@ -266,31 +333,39 @@ def check_perfect_secrecy(dist: JointDistribution, tapped) -> SecrecyReport:
 
     Checks count(s, o) * total == count(s) * count(o) for every cell of
     the product support, zero cells included; sources and observations
-    each run in order of first appearance.
+    each run in order of first appearance, and the first failing cell in
+    row-major order is the counterexample.
     """
     tapped = tuple(sorted(set(int(l) for l in tapped)))
     for l in tapped:
         if not 1 <= l <= dist.length:
             raise ParameterError(f"encoder {l} out of range")
-    observed = tuple(dist.shares[l - 1] for l in tapped)
-    src, src_first = _group(dist.sources, dist.total)
-    obs, obs_first = _group(observed, dist.total)
-    m_src, m_obs = np.bincount(src), np.bincount(obs)
+    sources = [f"S{k}" for k in range(1, len(dist.source_symbols) + 1)]
+    taps = [f"X{l}" for l in tapped]
+    src, src_first = _grouping(dist, sources)
+    obs, obs_first = _grouping(dist, taps)
+    cell, cell_first = _grouping(dist, taps, sources)
+    m_src, m_obs, count = np.bincount(src), np.bincount(obs), np.bincount(cell)
     n_obs = len(obs_first)
-    # nonzero cells as ascending row-major indices s * n_obs + o; cell i
-    # is missing, and fails with count 0, where cells[i] != i first
-    cells, count = np.unique(src * n_obs + obs, return_counts=True)
-    fails = np.flatnonzero((cells != np.arange(len(cells))) | (
-        count * dist.total != m_src[cells // n_obs] * m_obs[cells % n_obs]))
-    cell = int(fails[0]) if len(fails) else len(cells)
-    if cell == len(src_first) * n_obs:
+    # the row-major index s * n_obs + o of each cell that occurs; the first
+    # cell that does not occur is at most len(cells), the pigeonhole bound
+    s_of, o_of = src[cell_first], obs[cell_first]
+    cells = s_of * n_obs + o_of
+    wrong = cells[count * dist.total != m_src[s_of] * m_obs[o_of]]
+    seen = np.zeros(len(cells) + 1, dtype=bool)
+    seen[cells[cells <= len(cells)]] = True
+    first_wrong = int(np.argmin(seen))
+    if len(wrong):
+        first_wrong = min(first_wrong, int(wrong.min()))
+    if first_wrong == len(src_first) * n_obs:
         return SecrecyReport(tapped, True)
-    s, o = divmod(cell, n_obs)
+    s, o = divmod(first_wrong, n_obs)
+    at = np.flatnonzero(cells == first_wrong)
     return SecrecyReport(tapped, False, {
         "sources": _word(dist.sources, src_first[s]),
-        "observed": _word(observed, obs_first[o]),
-        "count": int(count[cell]) if cell < len(cells) and cells[cell] == cell
-            else 0,
+        "observed": _word(tuple(dist.shares[l - 1] for l in tapped),
+                          obs_first[o]),
+        "count": int(count[at[0]]) if len(at) else 0,
         "total": dist.total,
         "source_count": int(m_src[s]),
         "observed_count": int(m_obs[o]),
@@ -363,22 +438,23 @@ def conditional_entropy(dist: JointDistribution, targets: Sequence[str],
     adds (c / total) * log2(c_g / c) over groups, then cells, in order
     of first appearance.
     """
-    given_batch = tuple(_batch(dist, label) for label in given)
-    target_batch = tuple(_batch(dist, label) for label in targets)
-    group, _ = _group(given_batch, dist.total)
-    cell, cell_first = _group(given_batch + target_batch, dist.total)
+    group, _ = _grouping(dist, given)
+    cell, cell_first = _grouping(dist, given, targets)
     c_g, c = np.bincount(group), np.bincount(cell)
     exact = ExactLogSum()
     for counts, sign in ((c_g, 1), (c, -1)):
-        values, times = np.unique(counts, return_counts=True)
-        for v, n in zip(values.tolist(), times.tolist()):
-            exact += ExactLogSum.of_log(v, Fraction(sign * n * v, dist.total))
-    order = np.argsort(group[cell_first], kind="stable")
-    c, ratio = c[order], c_g[group[cell_first[order]]] / c[order]
-    # math.log2 per distinct ratio (np.log2 may differ in the last ulp),
-    # summed sequentially by np.add.accumulate
-    values, where = np.unique(ratio, return_inverse=True)
-    logs = np.array([log2(v) for v in values.tolist()])[where]
+        times = np.bincount(counts)
+        for v in np.flatnonzero(times).tolist():
+            exact += ExactLogSum.of_log(
+                v, Fraction(sign * int(times[v]) * v, dist.total))
+    # cells by group, stably; group ids below 2**16 take a radix sort
+    order = np.argsort(group[cell_first].astype(np.min_scalar_type(len(c_g))),
+                       kind="stable")
+    c, c_g = c[order], c_g[group[cell_first[order]]]
+    # math.log2 once per distinct (c_g, c) pair (np.log2 may differ in the
+    # last ulp), summed sequentially by np.add.accumulate
+    pair, first = _rank(c_g * (c.max() + 1) + c, (c_g.max() + 1) * (c.max() + 1))
+    logs = np.array([log2(v) for v in (c_g[first] / c[first]).tolist()])[pair]
     bits = float(np.add.accumulate(c / dist.total * logs)[-1])
     return EntropyResult(bits, exact, abs(bits - exact.to_float()) <= 1e-12)
 
@@ -530,8 +606,11 @@ def verification_report(code: CodeUnderTest,
     the wiretap size, and reconstruction for every usable subset.
 
     Each entry carries the verdict, a counterexample when one exists,
-    and the conditional source entropy in bits for tap sets.
+    and the conditional source entropy in bits for tap sets.  The time
+    budget covers the whole report: it is checked after every encode_fn
+    call, tap set and reconstruction subset.
     """
+    check_deadline = _deadline(budget)
     dist = enumerate_joint(code, budget)
     sources = [f"S{k}" for k in range(1, len(code.source_symbols) + 1)]
     report: dict = {
@@ -558,6 +637,7 @@ def verification_report(code: CodeUnderTest,
                 "counterexample": rep.counterexample,
             }
             ok = ok and rep.ok
+            check_deadline()
     for size in range(code.wiretap + 1, code.length + 1):
         expected = code.expected_sources(size)
         if expected < 1:
@@ -570,5 +650,6 @@ def verification_report(code: CodeUnderTest,
                 "counterexample": rep.counterexample,
             }
             ok = ok and rep.ok
+            check_deadline()
     report["ok"] = ok
     return report

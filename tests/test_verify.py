@@ -6,7 +6,9 @@ full joint table is written out below and every verifier feature is
 first exercised against that table.
 """
 
+import dataclasses
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -22,7 +24,8 @@ from smdc.fields import GF5, prime_field
 from smdc.multilevel import SmdcParams, plan as multilevel_plan, encode as multilevel_encode
 from smdc.randomness import SequenceSymbolSource
 from smdc.single_level import encode_with_layout, rate_layout, symmetric_layout
-from smdc.verify import (CodeUnderTest, ExactLogSum, VerifierBudget,
+from smdc.verify import (DENSE_SPAN, CodeUnderTest, ExactLogSum,
+                         VerifierBudget, _group, _rank,
                          check_perfect_secrecy, check_prop2_inequality,
                          check_reconstruction, code_for_layout,
                          code_for_multilevel, conditional_entropy,
@@ -116,18 +119,21 @@ def test_secrecy_counterexample_on_leaky_code():
         check_perfect_secrecy(dist, (0,))
 
 
-def test_secrecy_counterexample_can_be_a_cell_that_never_occurs():
+def missing_cell_code() -> CodeUnderTest:
     # x1 = T[s][k], x2 = s + k over GF(3); row s = 0 of T is balanced, but
     # no key gives x1 = 0 for s = 1, so the first failing cell is empty
     table = np.array([[0, 1, 2], [1, 1, 2], [0, 0, 2]])
-    code = CodeUnderTest(q=3, length=2, wiretap=1, source_symbols=(1,),
+    return CodeUnderTest(q=3, length=2, wiretap=1, source_symbols=(1,),
                          key_symbols=1,
                          encode_fn=lambda sources, keys:
                              (table[sources[0], keys],
                               (sources[0] + keys) % 3),
                          decode_fn=lambda observed: (),
                          expected_sources=lambda size: 0)
-    rep = check_perfect_secrecy(enumerate_joint(code), (1,))
+
+
+def test_secrecy_counterexample_can_be_a_cell_that_never_occurs():
+    rep = check_perfect_secrecy(enumerate_joint(missing_cell_code()), (1,))
     assert not rep.ok
     assert rep.counterexample == {
         "sources": ((1,),), "observed": ((0,),), "count": 0, "total": 9,
@@ -254,6 +260,81 @@ def test_time_budget_interrupts_enumeration():
     with pytest.raises(BudgetExceededError):
         enumerate_joint(big, VerifierBudget(max_outcomes=7 ** 6,
                                             max_seconds=0.0))
+
+
+def test_time_budget_bounds_the_whole_report():
+    # nine outcomes fit one encode_fn call, and the report's time goes
+    # into decoding: the budget must still stop it
+    code = hand_code()
+    calls = []
+
+    def slow_decode(observed):
+        calls.append(sorted(observed))
+        time.sleep(0.3)
+        return code.decode_fn(observed)
+
+    def slow_encode(sources, keys):
+        time.sleep(0.3)
+        return code.encode_fn(sources, keys)
+
+    slow = dataclasses.replace(code, decode_fn=slow_decode)
+    with pytest.raises(BudgetExceededError):
+        verification_report(slow, VerifierBudget(max_seconds=0.2))
+    assert calls == [[1, 2]]
+    with pytest.raises(BudgetExceededError):
+        enumerate_joint(dataclasses.replace(code, encode_fn=slow_encode),
+                        VerifierBudget(max_seconds=0.2))
+    assert verification_report(slow, VerifierBudget(max_seconds=60))["ok"]
+
+
+def walk_groups(words: list) -> tuple[list[int], list[int]]:
+    """Group ids by first appearance and each group's first word, by a
+    dict walk over the words in order."""
+    ids, first = {}, []
+    for i, word in enumerate(words):
+        if word not in ids:
+            ids[word] = len(first)
+            first.append(i)
+    return [ids[word] for word in words], first
+
+
+def assert_grouping(got, want):
+    ids, first = got
+    assert (ids.tolist(), first.tolist()) == want
+
+
+@pytest.mark.parametrize("words", [1, 2, 7, 500])
+def test_dense_and_sorted_grouping_agree_with_a_walk(words):
+    rng = np.random.default_rng(words)
+    for span in (DENSE_SPAN * words - 1, DENSE_SPAN * words,
+                 DENSE_SPAN * words + 1):
+        span = max(span, 1)
+        key = rng.integers(0, span, words)
+        key[0], key[-1] = 0, span - 1        # a column spanning exactly span
+        want = walk_groups(key.tolist())
+        assert_grouping(_group(key[:, None], words), want)
+        # any span above the key's values is valid; past the bound, sorted
+        assert_grouping(_rank(key, span), want)
+        assert_grouping(_rank(key, DENSE_SPAN * words + 1), want)
+    # several columns, a nested batch and repeated words
+    batch = (rng.integers(0, 3, (words, 2)), (rng.integers(5, 7, (words, 1)),))
+    rows = [tuple(r) for r in np.hstack([batch[0], batch[1][0]]).tolist()]
+    assert_grouping(_group(batch, words), walk_groups(rows))
+    # no columns at all: one group
+    assert_grouping(_group(np.zeros((words, 0), dtype=np.int64), words),
+                    ([0] * words, [0]))
+    assert_grouping(_group((), words), ([0] * words, [0]))
+
+
+def test_grouping_recompacts_wide_columns():
+    # three columns of 2**31 values pass 2**62 once packed: the key is
+    # re-compacted to group ids on the way
+    rng = np.random.default_rng(7)
+    pool = rng.integers(0, 1 << 31, (40, 3))
+    pool[0], pool[1] = 0, (1 << 31) - 1
+    rows = pool[rng.integers(0, len(pool), 300)]
+    want = walk_groups([tuple(r) for r in rows.tolist()])
+    assert_grouping(_group(rows, len(rows)), want)
 
 
 # --- layout adapters ---------------------------------------------------------
@@ -460,3 +541,62 @@ def test_verdict_is_about_the_shipped_encoder(monkeypatch, capsys):
                   "--source-lengths", "1,1", "--field", "5"])
     assert code == EXIT_VERIFY_FAILED
     assert '"ok": false' in capsys.readouterr().out
+
+
+def golden_instance(length, wiretap, threshold=None, lengths=None):
+    """The code `smdc verify --field 5` builds for these arguments."""
+    if threshold is not None:
+        return code_for_layout(symmetric_layout(
+            CosetCodeSpec(GF5, length, wiretap, threshold),
+            threshold - wiretap))
+    return code_for_multilevel(
+        multilevel_plan(SmdcParams(GF5, length, wiretap, lengths)))
+
+
+def zero_key_leak(monkeypatch):
+    real = single_level.encode_blocks
+    monkeypatch.setattr(single_level, "encode_blocks",
+                        lambda spec, blocks, keys:
+                            real(spec, blocks, np.zeros_like(keys)))
+    return golden_instance(3, 1, lengths=(1, 1))
+
+
+# every instance behind tests/golden/verify/, and codes that fail
+REPORT_CASES = {
+    "L4_N2_s1_1": lambda mp: golden_instance(4, 2, lengths=(1, 1)),
+    "L3_N1_m2": lambda mp: golden_instance(3, 1, threshold=2),
+    "L4_N1_m3": lambda mp: golden_instance(4, 1, threshold=3),
+    "L3_N1_s0_1": lambda mp: golden_instance(3, 1, lengths=(0, 1)),
+    "L3_N1_s0_0": lambda mp: golden_instance(3, 1, lengths=(0, 0)),
+    "L3_N1_s1_1": lambda mp: golden_instance(3, 1, lengths=(1, 1)),
+    "L4_N1_s1_0_1": lambda mp: golden_instance(4, 1, lengths=(1, 0, 1)),
+    "L3_N1_s1_1_zero_keys": zero_key_leak,
+    "product_code": lambda mp: product_code(code_for_layout(
+        symmetric_layout(CosetCodeSpec(GF3, 2, 1, 2), 1)), 2),
+    "missing_cell": lambda mp: missing_cell_code(),
+    "no_key": lambda mp: leaky_code(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_CASES))
+def test_report_equals_fresh_one_at_a_time_checks(name, monkeypatch):
+    # the report shares one distribution, and its groupings, across
+    # checks; each check on a distribution of its own must agree with it
+    code = REPORT_CASES[name](monkeypatch)
+    report = verification_report(code)
+    shared = enumerate_joint(code)
+    sources = [f"S{k}" for k in range(1, len(code.source_symbols) + 1)]
+    whole = conditional_entropy(enumerate_joint(code), sources)
+    assert report["source_entropy_bits"] == whole.bits
+    assert conditional_entropy(shared, sources) == whole
+    assert report["secrecy"]
+    for key, entry in report["secrecy"].items():
+        tapped = tuple(int(l) for l in key.split(","))
+        given = [f"X{l}" for l in tapped]
+        rep = check_perfect_secrecy(enumerate_joint(code), tapped)
+        ent = conditional_entropy(enumerate_joint(code), sources, given)
+        assert entry["ok"] == rep.ok
+        assert entry["counterexample"] == rep.counterexample
+        assert entry["conditional_entropy_bits"] == ent.bits
+        assert check_perfect_secrecy(shared, tapped) == rep
+        assert conditional_entropy(shared, sources, given) == ent
