@@ -6,12 +6,11 @@ everyone present.  More shares decode deeper into the stack.
 Run: python3 demos/priority_levels.py
 """
 
-from fractions import Fraction
 from itertools import combinations
 
 from smdc.errors import InsufficientSharesError
 from smdc.fields import GF7
-from smdc.multilevel import SmdcParams, decode, encode, rate_of
+from smdc.multilevel import SmdcParams, decode, encode, plan
 
 passed = 0
 failed = 0
@@ -32,7 +31,10 @@ def as_tuples(arrays):
     return tuple(tuple(a.tolist()) for a in arrays)
 
 
-F = Fraction
+def decode_from(subset):
+    """The sources the shares of `subset` recover."""
+    return decode(layout, {l: bundle.payloads[l] for l in subset})
+
 
 print("=" * 64)
 print("Three sources on (L, N) = (4, 1): source k decodes from any")
@@ -41,7 +43,8 @@ print("=" * 64)
 
 params = SmdcParams(GF7, length=4, wiretap=1, source_lengths=(1, 2, 3))
 sources = [[6], [1, 2], [3, 4, 5]]
-bundle = encode(params, sources, source=20260819)
+layout = plan(params)
+bundle = encode(layout, sources, source=20260819)
 
 print(f"\nsources: {sources}")
 for l in range(1, 5):
@@ -49,8 +52,8 @@ for l in range(1, 5):
     print(f"encoder {l} carries {parts} "
           f"({sum(len(p) for p in parts)} symbols)")
 
-rates = rate_of(bundle)
-print(f"\nper-encoder symbol counts: {[int(r) for r in rates]}")
+rates = [layout.emitted(l) for l in range(1, 5)]
+print(f"\nper-encoder symbol counts: {rates}")
 # source 1 costs 1 symbol everywhere, source 2 costs 2/2 = 1,
 # source 3 costs 3/3 = 1: three symbols per encoder in total
 check("symmetric layout emits 3 symbols per encoder",
@@ -59,7 +62,7 @@ check("symmetric layout emits 3 symbols per encoder",
 print("\n-- decoding depth grows with the subset --")
 for size in (2, 3, 4):
     for subset in combinations(range(1, 5), size):
-        got = as_tuples(decode(bundle, subset))
+        got = as_tuples(decode_from(subset))
         want = tuple(tuple(s) for s in sources[:size - 1])
         check(f"{subset} recovers sources 1..{size - 1}", got == want,
               f"{got}")
@@ -67,12 +70,12 @@ for size in (2, 3, 4):
 
 print("\n-- every 3-subset, not just the first --")
 check("all four 3-subsets agree",
-      all(as_tuples(decode(bundle, s)) == ((6,), (1, 2))
+      all(as_tuples(decode_from(s)) == ((6,), (1, 2))
           for s in combinations(range(1, 5), 3)))
 
 print("\n-- one share is below the wiretap threshold --")
 try:
-    decode(bundle, (2,))
+    decode_from((2,))
     check("single share refused", False, "decode should have raised")
 except InsufficientSharesError as exc:
     check("single share refused", exc.needed == 2, str(exc))
@@ -84,7 +87,7 @@ story = [
     ((2, 4), 1, "encoders 1 and 3 offline"),
 ]
 for subset, depth, label in story:
-    got = as_tuples(decode(bundle, subset))
+    got = as_tuples(decode_from(subset))
     print(f"  {label}: shares {subset} -> "
           f"{['source ' + str(k + 1) for k in range(len(got))]}")
     check(f"{label} yields {depth} source(s)", len(got) == depth)

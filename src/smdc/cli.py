@@ -21,9 +21,10 @@ from .errors import (BudgetExceededError, DecodeFailureError,
 from .fields import FieldSpec, _is_prime, binary8_field, prime_field
 from .multilevel import SmdcParams, plan as multilevel_plan
 from .region import (_one_level, smdc_min_sum_rate, superposition_corner_points,
-                     superposition_region, violated_subsets)
+                     superposition_region)
 from .region import (corner_points, min_sum_rate, region,  # noqa: F401
-                     vertices_brute_force)  # bound only for perfbench spans
+                     vertices_brute_force,  # bound only for perfbench spans
+                     violated_subsets)
 from .shareio import (field_to_id, join_files, read_share, split_files,
                       symbols_per_byte, write_share, _atomic_write)
 from .single_level import symmetric_layout
@@ -159,7 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--field", default=None,
                           help="field order; default: smallest prime above L")
     p_verify.add_argument("--budget", type=int, default=250_000,
-                          help="largest outcome count to enumerate")
+                          help="largest outcome count to enumerate, and "
+                               "largest report entry count (tap sets plus "
+                               "reconstruction subsets, about 2^L)")
 
     return parser
 
@@ -238,14 +241,15 @@ def _cmd_region(args) -> int:
         rates = _parse_fractions(args.rates)
         if len(rates) != args.length:
             raise ParameterError(f"need {args.length} rates")
-        bad = violated_subsets(system, rates)
-        outside = bool(bad)
+        violated = system.violated_rows(rates)
+        outside = bool(violated)
         report["membership"] = {
             "rates": [_pair(r) for r in rates],
-            "inside": not bad,
-            "violated_subsets": [list(s) for s in bad],
+            "inside": not violated,
+            "violated_subsets": [[i + 1 for i in r.support()]
+                                 for r in violated],
             "violated_inequalities": [r.render(system.var_names)
-                                      for r in system.violated_rows(rates)],
+                                      for r in violated],
         }
     print(json.dumps(report, indent=2))
     return EXIT_INFEASIBLE if outside else EXIT_OK

@@ -7,7 +7,9 @@ because the key columns of every such row subset have full row rank.
 
 The generator is the L x threshold Vandermonde matrix on the
 CosetCodeSpec nodes; columns 0..wiretap-1 multiply the key, the rest
-the message.
+the message.  encode_blocks and decode_blocks run it on arrays of
+blocks, one block per row; one block is a one-row array.  The caller
+draws the keys (single_level draws one stream per run of blocks).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .errors import (
 )
 from .fields import (FieldSpec, array_matmul, matrix_inverse, symbol_dtype,
                      vandermonde_array)
-from .randomness import as_symbol_source
 
 
 def default_nodes(field: FieldSpec, length: int) -> tuple[int, ...]:
@@ -74,10 +75,6 @@ class CosetCodeSpec:
         return self.threshold - self.wiretap
 
 
-def generator_matrix(spec: CosetCodeSpec) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(tuple, _generator_array(spec).tolist()))
-
-
 # The caches below are bounded: a process that joins from many different
 # share subsets would otherwise keep every inverse it ever computed.  256
 # entries hold one solver per source level of any L the container allows.
@@ -103,54 +100,6 @@ def _decode_solver(spec: CosetCodeSpec, ids: tuple[int, ...]):
     return inv, extra
 
 
-def _check_ids(spec: CosetCodeSpec, ids) -> tuple[int, ...]:
-    ids = tuple(int(i) for i in ids)
-    for i in ids:
-        if not 1 <= i <= spec.length:
-            raise ParameterError(f"share index {i} out of range 1..{spec.length}")
-    if len(set(ids)) != len(ids):
-        raise ParameterError("duplicate share indices")
-    if len(ids) < spec.threshold:
-        raise InsufficientSharesError(
-            f"decoding needs {spec.threshold} distinct shares, got {len(ids)}",
-            needed=spec.threshold, have=len(ids))
-    return ids
-
-
-def encode(spec: CosetCodeSpec, message, key) -> tuple[int, ...]:
-    """One block: L share symbols from message and key symbols."""
-    msg = [int(v) for v in message]
-    keys = [int(v) for v in key]
-    if len(msg) != spec.k:
-        raise ParameterError(f"message block must have {spec.k} symbols")
-    if len(keys) != spec.wiretap:
-        raise ParameterError(f"key block must have {spec.wiretap} symbols")
-    for v in keys + msg:
-        spec.field._check(v)
-    return tuple(encode_blocks(spec, np.array([msg]), np.array([keys]))[0]
-                 .tolist())
-
-
-def decode(spec: CosetCodeSpec, observed) -> tuple[int, ...]:
-    """Message block from (share_index, value) pairs, indices 1-based.
-
-    Extra shares beyond the threshold are checked against the decoded
-    block; disagreement raises DecodeFailureError.
-    """
-    pairs = [(int(i), int(v)) for i, v in observed]
-    ids = _check_ids(spec, [i for i, _ in pairs])
-    vals = [spec.field._check(v) for _, v in pairs]
-    return tuple(decode_blocks(spec, ids, np.array([vals]))[0].tolist())
-
-
-def keygen(spec: CosetCodeSpec, source=None) -> tuple[int, ...]:
-    """Fresh uniform key symbols for one block."""
-    src = as_symbol_source(source)
-    return tuple(int(v) for v in src.draw(spec.field.order, spec.wiretap))
-
-
-# --- bulk block paths ---------------------------------------------------------
-
 def encode_blocks(spec: CosetCodeSpec, messages: np.ndarray,
                   keys: np.ndarray) -> np.ndarray:
     """Vectorized encode: (n, msg) and (n, key) arrays to (n, L) shares.
@@ -167,8 +116,21 @@ def encode_blocks(spec: CosetCodeSpec, messages: np.ndarray,
 
 
 def decode_blocks(spec: CosetCodeSpec, ids, shares: np.ndarray) -> np.ndarray:
-    """Vectorized decode of (n, len(ids)) share columns back to messages."""
-    ids = _check_ids(spec, ids)
+    """Vectorized decode of (n, len(ids)) share columns back to messages.
+
+    Share ids are 1-based.  Columns beyond the threshold are checked
+    against the decoded blocks; disagreement raises DecodeFailureError.
+    """
+    ids = tuple(int(i) for i in ids)
+    for i in ids:
+        if not 1 <= i <= spec.length:
+            raise ParameterError(f"share index {i} out of range 1..{spec.length}")
+    if len(set(ids)) != len(ids):
+        raise ParameterError("duplicate share indices")
+    if len(ids) < spec.threshold:
+        raise InsufficientSharesError(
+            f"decoding needs {spec.threshold} distinct shares, got {len(ids)}",
+            needed=spec.threshold, have=len(ids))
     shares = np.asarray(shares)
     if shares.ndim != 2 or shares.shape[1] != len(ids):
         raise ParameterError("share array does not match the id list")

@@ -261,13 +261,9 @@ def matrix_rank(spec: FieldSpec, a: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def vandermonde_int(spec: FieldSpec, nodes: Sequence[int], width: int) -> list[list[int]]:
-    """Vandermonde matrix on ints: entry (i, j) = nodes[i] ** j."""
-    return vandermonde_array(spec, nodes, width).tolist()
-
-
 def vandermonde_array(spec: FieldSpec, nodes: Sequence[int], width: int) -> np.ndarray:
-    """vandermonde_int as an int64 array, built one column at a time."""
+    """Vandermonde matrix as an int64 array, entry (i, j) = nodes[i] ** j,
+    built one column at a time."""
     vals = [spec._check(int(v)) for v in nodes]
     if len(set(vals)) != len(vals):
         raise ParameterError("vandermonde nodes must be distinct")

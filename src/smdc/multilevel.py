@@ -6,12 +6,15 @@ handles each source with its own single-source code at threshold N + k
 and concatenates the per-source payloads on every encoder, drawing all
 keys from one stream in source order.  A reader holding any N + j
 outputs peels off sources 1..j.
+
+plan is the one place that picks rates: it gives each source its own
+single-source layout (symmetric, or at per-source rates).  encode and
+decode run the SmdcLayout they are given and never plan again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -79,8 +82,7 @@ class SmdcLayout:
 
 @dataclass(frozen=True)
 class SmdcShareBundle:
-    """payloads[encoder] holds one symbol sequence per source, in order:
-    arrays from encode, bytes from share files."""
+    """payloads[encoder] holds one symbol array per source, in order."""
 
     layout: SmdcLayout
     payloads: Mapping[int, tuple[Sequence[int], ...]]
@@ -89,65 +91,43 @@ class SmdcShareBundle:
 def plan(params: SmdcParams, rates=None) -> SmdcLayout:
     """Per-source layouts; `rates` is an optional per-source sequence of
     L-tuples, validated against each source's own admissible region."""
-    levels = []
     if rates is not None and len(rates) != params.source_count:
         raise ParameterError(f"need rate tuples for {params.source_count} sources")
-    for k in range(1, params.source_count + 1):
-        level = params.level_params(k)
-        h = params.source_lengths[k - 1]
-        if rates is None:
-            levels.append(symmetric_layout(level, h))
-        else:
-            levels.append(rate_layout(level, h, rates[k - 1]))
-    return SmdcLayout(params, tuple(levels))
+    return SmdcLayout(params, tuple(
+        symmetric_layout(params.level_params(k), h) if rates is None
+        else rate_layout(params.level_params(k), h, rates[k - 1])
+        for k, h in enumerate(params.source_lengths, start=1)))
 
 
-def encode(params: SmdcParams, sources: Sequence[Sequence[int]],
-           source=None, rates=None) -> SmdcShareBundle:
-    """Encode all K sources; keys are drawn sequentially in source order.
-    Payloads are symbol arrays."""
+def encode(layout: SmdcLayout, sources: Sequence[Sequence[int]],
+           source=None) -> SmdcShareBundle:
+    """Encode all K sources along the layout; keys are drawn sequentially
+    in source order.  Payloads are symbol arrays."""
+    params = layout.params
     if len(sources) != params.source_count:
         raise ParameterError(f"need {params.source_count} sources, "
                              f"got {len(sources)}")
-    layout = plan(params, rates)
     src = as_symbol_source(source)
-    per_level = [encode_with_layout(layout.levels[k], sources[k], src)
-                 for k in range(params.source_count)]
-    payloads = {
+    per_level = [encode_with_layout(level, message, src)
+                 for level, message in zip(layout.levels, sources)]
+    return SmdcShareBundle(layout, {
         l: tuple(bundle.payloads[l] for bundle in per_level)
-        for l in range(1, params.length + 1)
-    }
-    return SmdcShareBundle(layout, payloads)
+        for l in range(1, params.length + 1)})
 
 
-def decode(bundle: SmdcShareBundle, subset: Sequence[int] | None = None
+def decode(layout: SmdcLayout,
+           observed: Mapping[int, Sequence[Sequence[int]]]
            ) -> tuple[np.ndarray, ...]:
-    """Sources 1..(|U| - N) from the encoder subset U (all by default)."""
-    layout = bundle.layout
+    """Sources 1..(|U| - N) from the payloads of an encoder subset U:
+    observed[encoder] holds one symbol sequence per source."""
     params = layout.params
-    present = sorted(bundle.payloads) if subset is None \
-        else sorted(set(int(l) for l in subset))
-    for l in present:
-        if l not in bundle.payloads:
-            raise ParameterError(f"no payload for encoder {l}")
-    depth = min(len(present) - params.wiretap, params.source_count)
+    depth = min(len(observed) - params.wiretap, params.source_count)
     if depth < 1:
         raise InsufficientSharesError(
             f"recovering even the top source needs {params.wiretap + 1} "
-            f"outputs, got {len(present)}",
-            needed=params.wiretap + 1, have=len(present))
-    out = []
-    for k in range(1, depth + 1):
-        observed = {l: bundle.payloads[l][k - 1] for l in present}
-        out.append(decode_single(layout.levels[k - 1], observed))
-    return tuple(out)
-
-
-def rate_of(bundle: SmdcShareBundle, normalization=1) -> tuple[Fraction, ...]:
-    """Per-encoder emitted symbols, divided by `normalization`."""
-    norm = Fraction(normalization)
-    if norm <= 0:
-        raise ParameterError("normalization must be positive")
-    layout = bundle.layout
-    return tuple(Fraction(layout.emitted(l)) / norm
-                 for l in range(1, layout.params.length + 1))
+            f"outputs, got {len(observed)}",
+            needed=params.wiretap + 1, have=len(observed))
+    return tuple(
+        decode_single(layout.levels[k],
+                      {l: parts[k] for l, parts in observed.items()})
+        for k in range(depth))

@@ -570,7 +570,12 @@ def superposition_corner_points(length: int, n_wiretap: int,
     one corner per level, all zeroing the largest coordinates of one order
     (level k zeroes z_k < k and spreads H_k / (k - z_k) over the rest),
     kept when the facets tight at them have full rank."""
-    hs = [_frac(h) for h in entropies]
+    try:
+        hs = [_frac(h) for h in entropies]
+    except ParameterError:
+        raise
+    except (TypeError, ValueError):
+        raise ParameterError("corner points need numeric entropies") from None
     _level_entropies(length, n_wiretap, hs)
     levels = tuple(k for k, h in enumerate(hs, start=1) if h)
     orbits = [(alpha, sum(hs[k - 1] * w for k, w in zip(levels, weights)))

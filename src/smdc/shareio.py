@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (DecodeFailureError, ParameterError, ShareFormatError)
 from .fields import (BINARY8, DEFAULT_BINARY8_POLY, FieldSpec, _is_prime,
                      binary8_field, prime_field)
-from .multilevel import SmdcParams, SmdcShareBundle, decode, encode, plan
+from .multilevel import SmdcParams, decode, encode, plan
 
 MAGIC = b"SMDC"
 VERSION = 1
@@ -255,7 +255,7 @@ def split_files(field: FieldSpec, length: int, wiretap: int,
     sources = [bytes_to_symbols(field, d) for d in datas]
     params = SmdcParams(field, length, wiretap,
                         tuple(len(s) for s in sources))
-    bundle = encode(params, sources, source)
+    bundle = encode(plan(params), sources, source)
     byte_lengths = tuple(len(d) for d in datas)
     return [ShareFile(length, wiretap, l, field, byte_lengths,
                       tuple(p.tobytes() for p in bundle.payloads[l]))
@@ -294,7 +294,6 @@ def join_files(shares) -> list[bytes]:
                 raise ShareFormatError(
                     f"encoder {s.encoder} carries {len(s.payloads[k])} "
                     f"symbols for source {k + 1}, geometry requires {want}")
-    bundle = SmdcShareBundle(layout, {s.encoder: s.payloads for s in shares})
-    decoded = decode(bundle)
+    decoded = decode(layout, {s.encoder: s.payloads for s in shares})
     return [symbols_to_bytes(field, syms, head.byte_lengths[i])
             for i, syms in enumerate(decoded)]

@@ -12,8 +12,10 @@ The usable capacity of the whole schedule equals the sum of the k
 smallest budgets, so every rate tuple inside the admissible region
 schedules successfully, and nothing outside it does.
 
-A layout fixes the rates (symmetric_layout, corner_layout or
-rate_layout); encode_with_layout and decode run it on symbol arrays.
+A layout fixes the rates once (symmetric_layout, corner_layout or
+rate_layout) and keeps only the schedule they produce: its runs, message
+length and, from them, the padding, key count and per-encoder output.
+encode_with_layout and decode run a layout on symbol arrays.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ class BundleLayout:
     params: CosetCodeSpec
     runs: tuple[BlockRun, ...]
     message_symbols: int
-    declared_rates: tuple[Fraction, ...]
 
     @property
     def padded_symbols(self) -> int:
@@ -165,7 +166,7 @@ def rate_layout(params: CosetCodeSpec, message_symbols: int,
     if covered < message_symbols:
         raise SmdcError("schedule ran out of capacity on admissible "
                         "rates; this is a bug")
-    return BundleLayout(params, tuple(runs), message_symbols, rates)
+    return BundleLayout(params, tuple(runs), message_symbols)
 
 
 def symmetric_layout(params: CosetCodeSpec,

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
-from math import lcm, log2
+from math import comb, lcm, log2
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -125,6 +125,10 @@ class ExactLogSum:
 
 @dataclass(frozen=True)
 class VerifierBudget:
+    """max_outcomes bounds both the words enumerated and the entries of a
+    report (one per tap set and per reconstruction subset, about 2**L);
+    max_seconds bounds the time of a whole report."""
+
     max_outcomes: int = 250_000
     max_seconds: float | None = None
 
@@ -535,20 +539,17 @@ def code_for_layout(layout: single_level.BundleLayout) -> CodeUnderTest:
 
 
 def code_for_multilevel(layout: multilevel.SmdcLayout) -> CodeUnderTest:
-    """A multilevel layout, run through the shipped multilevel codec; the
-    levels' declared rates make the encoder plan this very layout."""
+    """A multilevel layout, run through the shipped multilevel codec."""
     params = layout.params
-    rates = [level.declared_rates for level in layout.levels]
 
     def encode_fn(sources: tuple, keys: np.ndarray) -> tuple:
-        bundle = multilevel.encode(
-            params, sources, SequenceSymbolSource(keys), rates)
+        bundle = multilevel.encode(layout, sources, SequenceSymbolSource(keys))
         return tuple(bundle.payloads[l] for l in range(1, params.length + 1))
 
     def decode_fn(observed: dict) -> tuple:
         if len(observed) <= params.wiretap:
             return ()
-        return multilevel.decode(multilevel.SmdcShareBundle(layout, observed))
+        return multilevel.decode(layout, observed)
 
     return CodeUnderTest(
         q=params.field.order, length=params.length, wiretap=params.wiretap,
@@ -606,10 +607,19 @@ def verification_report(code: CodeUnderTest,
     the wiretap size, and reconstruction for every usable subset.
 
     Each entry carries the verdict, a counterexample when one exists,
-    and the conditional source entropy in bits for tap sets.  The time
-    budget covers the whole report: it is checked after every encode_fn
-    call, tap set and reconstruction subset.
+    and the conditional source entropy in bits for tap sets.  A report
+    with more entries than budget.max_outcomes is refused before any
+    word is encoded.  The time budget covers the whole report: it is
+    checked after every encode_fn call, tap set and reconstruction
+    subset.
     """
+    encoders = range(1, code.length + 1)
+    entries = sum(comb(code.length, size) for size in encoders
+                  if size <= code.wiretap or code.expected_sources(size) >= 1)
+    if entries > budget.max_outcomes:
+        raise BudgetExceededError(
+            f"{entries} report entries exceed the budget of "
+            f"{budget.max_outcomes}; refusing to enumerate")
     check_deadline = _deadline(budget)
     dist = enumerate_joint(code, budget)
     sources = [f"S{k}" for k in range(1, len(code.source_symbols) + 1)]
@@ -625,7 +635,6 @@ def verification_report(code: CodeUnderTest,
         "reconstruction": {},
     }
     ok = True
-    encoders = range(1, code.length + 1)
     for size in range(1, code.wiretap + 1):
         for tapped in combinations(encoders, size):
             rep = check_perfect_secrecy(dist, tapped)

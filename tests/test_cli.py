@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -275,6 +276,23 @@ def test_region_names_the_weighted_row_a_point_breaks(capsys):
         "R2 + R3 >= 1", "R1 + R2 >= 1"]
 
 
+def test_region_evaluates_membership_once(capsys, monkeypatch):
+    from smdc.region import InequalitySystem
+    calls = []
+    violated_rows = InequalitySystem.violated_rows
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return violated_rows(self, *args, **kwargs)
+
+    monkeypatch.setattr(InequalitySystem, "violated_rows", counted)
+    assert entry(["region", "--L", "4", "--N", "1", "--entropies", "1,1,1",
+                  "--rates", "3,5/2,2,1"]) == EXIT_INFEASIBLE
+    assert len(calls) == 1
+    membership = json.loads(capsys.readouterr().out)["membership"]
+    assert membership["violated_subsets"] == [[2, 3, 4]]
+
+
 def test_wn_command(capsys):
     assert entry(["wn", "--length", "3", "--wiretap", "1", "--threshold", "2",
                   "--rates", "1,1,1", "--entropy", "1", "--flow",
@@ -325,6 +343,26 @@ def test_verify_command(capsys):
     assert "error" in capsys.readouterr().err
     assert entry(["verify", "--length", "3", "--wiretap", "1"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_verify_refuses_more_report_entries_than_the_budget(capsys):
+    # 7^2 = 49 outcomes fit a budget of 50, but the report would have
+    # 6 tap sets plus 57 reconstruction subsets
+    argv = ["verify", "--L", "6", "--N", "1", "--m", "2", "--field", "7"]
+    assert entry(argv + ["--budget", "50"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "63 report entries exceed the budget of 50" in captured.err
+    assert entry(argv + ["--budget", "63"]) == EXIT_OK
+    assert len(json.loads(capsys.readouterr().out)["reconstruction"]) == 57
+
+
+def test_verify_refuses_a_wide_instance_at_once(capsys):
+    # 2^18 - 1 entries: refused before anything is enumerated
+    start = time.monotonic()
+    assert entry(["verify", "--L", "18", "--N", "1", "--m", "2"]) == EXIT_USAGE
+    assert time.monotonic() - start < 1
+    assert "262143 report entries" in capsys.readouterr().err
 
 
 def test_verify_takes_a_prime_no_share_file_can_carry(capsys):

@@ -5,15 +5,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from smdc.coset import (
-    CosetCodeSpec,
-    decode,
-    decode_blocks,
-    encode,
-    encode_blocks,
-    generator_matrix,
-    keygen,
-)
+from smdc.coset import CosetCodeSpec, decode_blocks, encode_blocks
 from smdc.errors import (
     DecodeFailureError,
     InsufficientSharesError,
@@ -32,9 +24,24 @@ def spec_212():
     return CosetCodeSpec(GF5, length=2, wiretap=1, threshold=2)
 
 
+def encode(spec, message, key) -> tuple[int, ...]:
+    """One block's L share symbols."""
+    return tuple(encode_blocks(spec, np.array([message]),
+                               np.array([key]))[0].tolist())
+
+
+def decode(spec, observed) -> tuple[int, ...]:
+    """One block's message from (share_index, value) pairs."""
+    ids = [i for i, _ in observed]
+    values = [v for _, v in observed]
+    return tuple(decode_blocks(spec, ids, np.array([values]))[0].tolist())
+
+
 def test_encode_frozen_values():
-    # generator rows (1,1), (1,2); key 2, message 3
-    assert generator_matrix(spec_212()) == ((1, 1), (1, 2))
+    # generator rows (1,1), (1,2): the shares of key 1 are its first
+    # column, those of message 1 its second; then key 2, message 3
+    unit = encode_blocks(spec_212(), np.array([[0], [1]]), np.array([[1], [0]]))
+    assert unit.T.tolist() == [[1, 1], [1, 2]]
     assert encode(spec_212(), [3], [2]) == (0, 3)
     s3 = CosetCodeSpec(GF5, length=3, wiretap=1, threshold=2)
     assert encode(s3, [3], [2]) == (0, 3, 1)
@@ -121,25 +128,19 @@ def test_pair_of_shares_uniform_when_wiretap_two():
 
 
 def test_keygen_deterministic_and_balanced():
+    # one block's keys are one draw of `wiretap` symbols
     spec = CosetCodeSpec(GF5, length=3, wiretap=2, threshold=3)
-    a = [keygen(spec, source) for source in (np.random.default_rng(99),)]
-    b = [keygen(spec, source) for source in (np.random.default_rng(99),)]
-    assert a == b
-    draws = 10_000
-    src = np.random.default_rng(1234)
-    counts = np.zeros(5)
-    for _ in range(draws):
-        for v in keygen(spec, src):
-            counts[v] += 1
-    total = counts.sum()
-    expected = total / 5
-    chi2 = float(((counts - expected) ** 2 / expected).sum())
-    dof = 4
-    assert chi2 < dof + 5 * (2 * dof) ** 0.5
+    q = spec.field.order
+    a = as_symbol_source(np.random.default_rng(99)).draw(q, spec.wiretap)
+    b = as_symbol_source(np.random.default_rng(99)).draw(q, spec.wiretap)
+    assert a.tolist() == b.tolist()
+    src = as_symbol_source(np.random.default_rng(1234))
+    keys = [src.draw(q, spec.wiretap) for _ in range(10_000)]
+    assert _chi2_ok(np.bincount(np.concatenate(keys), minlength=q))
 
 
 def _chi2_ok(counts) -> bool:
-    # the bound of test_keygen_deterministic_and_balanced
+    # chi-square of a uniform histogram, within five standard deviations
     expected = counts.sum() / len(counts)
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     dof = len(counts) - 1
@@ -183,9 +184,9 @@ def test_system_source_rejects_exactly_the_biased_tail(q, word_bytes,
 def test_keygen_sequence_source_exhaustion():
     spec = CosetCodeSpec(GF5, length=2, wiretap=1, threshold=2)
     src = SequenceSymbolSource([4])
-    assert keygen(spec, src) == (4,)
+    assert src.draw(spec.field.order, spec.wiretap).tolist() == [4]
     with pytest.raises(ParameterError):
-        keygen(spec, src)
+        src.draw(spec.field.order, spec.wiretap)
 
 
 def test_seeds_must_be_non_negative():
@@ -203,9 +204,17 @@ def test_block_paths_match_scalar_paths(field):
     msgs = rng.integers(0, q, size=(n, spec.k))
     keys = rng.integers(0, q, size=(n, spec.wiretap))
     shares = encode_blocks(spec, msgs, keys)
+    # share l of a block is sum_j x_j * node_l^j over x = (key, message),
+    # in the field's scalar arithmetic
     for i in range(n):
-        assert tuple(shares[i].tolist()) == encode(
-            spec, msgs[i].tolist(), keys[i].tolist())
+        x = keys[i].tolist() + msgs[i].tolist()
+        want = []
+        for node in spec.nodes:
+            acc = 0
+            for j, v in enumerate(x):
+                acc = field.add(acc, field.mul(int(v), field.pow(node, j)))
+            want.append(acc)
+        assert shares[i].tolist() == want
     ids = (2, 4, 1)
     cols = shares[:, [1, 3, 0]]
     back = decode_blocks(spec, ids, cols)

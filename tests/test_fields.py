@@ -15,7 +15,7 @@ from smdc.fields import (
     matrix_rank,
     prime_field,
     solve_linear_int,
-    vandermonde_int,
+    vandermonde_array,
 )
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17]
@@ -165,7 +165,7 @@ def test_pow_matches_repeated_multiplication():
 
 def test_solve_linear_frozen_case():
     f = prime_field(5)
-    v = vandermonde_int(f, [1, 2], 2)
+    v = vandermonde_array(f, [1, 2], 2).tolist()
     assert v == [[1, 1], [1, 2]]
     assert solve_linear_int(f, v, [0, 3]) == [2, 3]
 
@@ -198,7 +198,7 @@ def test_solve_linear_random_round_trip():
 
 def test_vandermonde_rejects_duplicates():
     with pytest.raises(ParameterError):
-        vandermonde_int(prime_field(5), [1, 1], 2)
+        vandermonde_array(prime_field(5), [1, 1], 2)
 
 
 # --- Vandermonde minors ---------------------------------------------------------
@@ -210,7 +210,7 @@ def test_vandermonde_leading_minors_nonsingular_exhaustive(p):
     f = prime_field(p)
     top = min(6, p - 1)
     nodes = list(range(1, top + 1))
-    v = vandermonde_int(f, nodes, top)
+    v = vandermonde_array(f, nodes, top).tolist()
     for k in range(1, top + 1):
         for rows in combinations(range(top), k):
             sub = [v[r][:k] for r in rows]
@@ -222,7 +222,7 @@ def test_vandermonde_leading_minors_nonsingular_exhaustive(p):
 def test_vandermonde_minors_nonsingular_binary8():
     f = binary8_field()
     nodes = list(range(1, 7))
-    v = vandermonde_int(f, nodes, 6)
+    v = vandermonde_array(f, nodes, 6).tolist()
     for k in range(1, 7):
         for rows in combinations(range(6), k):
             assert matrix_rank(f, [v[r][:k] for r in rows]) == k
@@ -254,7 +254,7 @@ def test_matrix_inverse_matches_column_solves(field):
     n = min(6, field.order - 1)
     nodes = [int(v) for v in rng.choice(range(1, min(field.order, 200)),
                                         size=n, replace=False)]
-    a = vandermonde_int(field, nodes, n)
+    a = vandermonde_array(field, nodes, n).tolist()
     inv = matrix_inverse(field, a)
     for j in range(n):
         e = [0] * n

@@ -134,6 +134,16 @@ def test_corner_points_all_in_region_and_hit_min_sum():
         assert min(sum(p) for p in pts) == min_sum_rate(length, k, h)
 
 
+@pytest.mark.parametrize("corners", [
+    lambda: superposition_corner_points(3, 1, ["H1", "H2"]),
+    lambda: corner_points(3, 2, "H"),
+    lambda: superposition_corner_points(3, 1, None),
+], ids=["symbolic", "one_level_symbolic", "none"])
+def test_corners_need_numeric_entropies(corners):
+    with pytest.raises(ParameterError, match="numeric entropies"):
+        corners()
+
+
 # --- canonicalization and slices ---------------------------------------------------
 
 def test_canonical_scales_and_dedupes():

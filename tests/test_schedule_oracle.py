@@ -54,7 +54,7 @@ def reference_rate_layout(params, message_symbols, rates, system=None):
             runs.append(BlockRun(active, size, 1))
         covered += size
         j += 1
-    return BundleLayout(params, tuple(runs), message_symbols, rates)
+    return BundleLayout(params, tuple(runs), message_symbols)
 
 
 def k_smallest(rates, k):

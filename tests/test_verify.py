@@ -250,6 +250,25 @@ def test_budget_refusal_happens_before_any_encoding():
     assert calls == []
 
 
+def test_report_entry_refusal_happens_before_any_encoding():
+    calls = []
+
+    def encode_fn(sources, keys):
+        calls.append(1)
+        return (sources[0],) * 6
+
+    # two outcomes, but 6 tap sets and 57 reconstruction subsets
+    wide = CodeUnderTest(q=2, length=6, wiretap=1, source_symbols=(1,),
+                         key_symbols=0, encode_fn=encode_fn,
+                         decode_fn=lambda observed: (),
+                         expected_sources=lambda size: 1)
+    with pytest.raises(BudgetExceededError, match="63 report entries"):
+        verification_report(wide, VerifierBudget(max_outcomes=62))
+    assert calls == []
+    verification_report(wide, VerifierBudget(max_outcomes=63))
+    assert calls == [1]
+
+
 def test_time_budget_interrupts_enumeration():
     big = CodeUnderTest(q=7, length=2, wiretap=1, source_symbols=(3,),
                         key_symbols=3,
@@ -406,7 +425,7 @@ def public_multilevel_table(params, layout):
     counts = {}
     for word in product(range(q), repeat=total_src + keys):
         sources = [list(word[a:b]) for a, b in cuts]
-        bundle = multilevel_encode(params, sources,
+        bundle = multilevel_encode(layout, sources,
                                    SequenceSymbolSource(word[total_src:]))
         shares = tuple(tuple(tuple(p.tolist()) for p in bundle.payloads[l])
                        for l in range(1, params.length + 1))
@@ -430,6 +449,24 @@ def test_multilevel_adapter_matches_public_encoder():
         assert rep.ok and rep.expected_sources == 1
     rep = check_reconstruction(code, dist, (1, 2, 3))
     assert rep.ok and rep.expected_sources == 2
+
+
+def test_verifier_runs_the_plan_it_is_given(monkeypatch):
+    # level 2 leaves encoder 2 silent: an uneven plan that a fresh
+    # symmetric plan would not reproduce
+    params = SmdcParams(GF5, 3, 1, (1, 2))
+    layout = multilevel_plan(params, [(1, 1, 1), (1, 0, 1)])
+    keys = sum(level.key_symbols for level in layout.levels)
+    assert keys != sum(level.key_symbols
+                       for level in multilevel_plan(params).levels)
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("the verifier planned again")
+
+    monkeypatch.setattr("smdc.multilevel.plan", no_plan)
+    report = verification_report(code_for_multilevel(layout))
+    assert report["ok"]
+    assert report["key_symbols"] == keys
 
 
 def test_prop2_holds_with_zero_slack_on_mds_levels():
