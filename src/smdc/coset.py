@@ -10,6 +10,16 @@ CosetCodeSpec nodes; columns 0..wiretap-1 multiply the key, the rest
 the message.  encode_blocks and decode_blocks run it on arrays of
 blocks, one block per row; one block is a one-row array.  The caller
 draws the keys (single_level draws one stream per run of blocks).
+
+Decoding wants the message, never the key.  For a list of share ids,
+the first `threshold` of them fix the block: its coefficients are the
+interpolating polynomial of their values.  The decoder keeps only the
+k message rows of that interpolation, in closed form from the Lagrange
+basis of their nodes, and below them one row per extra id: the basis
+evaluated at the extra node, which predicts that share.  One kernel
+pass yields the message and the predictions; a block whose extra shares
+differ from their predictions raises DecodeFailureError, as
+re-encoding its decoded key and message would.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from .errors import (
     InsufficientSharesError,
     ParameterError,
 )
-from .fields import (FieldSpec, array_matmul, matrix_inverse, symbol_dtype,
+from .fields import (FieldSpec, array_matmul, lagrange_rows, symbol_dtype,
                      vandermonde_array)
 
 
@@ -76,7 +86,7 @@ class CosetCodeSpec:
 
 
 # The caches below are bounded: a process that joins from many different
-# share subsets would otherwise keep every inverse it ever computed.  256
+# share subsets would otherwise keep every decode matrix it ever built.  256
 # entries hold one solver per source level of any L the container allows.
 
 @lru_cache(maxsize=256)
@@ -88,38 +98,44 @@ def _generator_array(spec: CosetCodeSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _decode_solver(spec: CosetCodeSpec, ids: tuple[int, ...]):
-    """Inverse of the square submatrix for the first `threshold` of ids,
-    plus the generator rows of any extra ids for consistency checking."""
-    gen = _generator_array(spec)
-    rows = [i - 1 for i in ids]
+def _decode_solver(spec: CosetCodeSpec, ids: tuple[int, ...]) -> np.ndarray:
+    """Transposed decode rows for ids: the message rows of the inverse of
+    the first `threshold` ids' Vandermonde rows, then one prediction row
+    per extra id, the Lagrange basis of the first ones at its node."""
+    nodes = [spec.nodes[i - 1] for i in ids]
     m = spec.threshold
-    inv = matrix_inverse(spec.field, gen[rows[:m]])
-    extra = gen[rows[m:]]
-    inv.flags.writeable = extra.flags.writeable = False
-    return inv, extra
+    rows = lagrange_rows(spec.field, nodes[:m], spec.k, nodes[m:]).T.astype(
+        symbol_dtype(spec.field.order))
+    rows.flags.writeable = False
+    return rows
 
 
 def encode_blocks(spec: CosetCodeSpec, messages: np.ndarray,
                   keys: np.ndarray) -> np.ndarray:
     """Vectorized encode: (n, msg) and (n, key) arrays to (n, L) shares.
 
-    The result is a transposed view: column l is a contiguous array.
+    The key and message columns go to the kernel as they lie.  The
+    result is a transposed view: column l is a contiguous array.
     """
     messages = np.asarray(messages)
     keys = np.asarray(keys)
     n = messages.shape[0]
     if messages.shape != (n, spec.k) or keys.shape != (n, spec.wiretap):
         raise ParameterError("block arrays have the wrong shape")
-    x = np.concatenate([keys.T, messages.T]).T
-    return array_matmul(spec.field, x, _generator_array(spec).T)
+    return array_matmul(spec.field, (*keys.T, *messages.T),
+                        _generator_array(spec).T)
 
 
 def decode_blocks(spec: CosetCodeSpec, ids, shares: np.ndarray) -> np.ndarray:
     """Vectorized decode of (n, len(ids)) share columns back to messages.
 
-    Share ids are 1-based.  Columns beyond the threshold are checked
-    against the decoded blocks; disagreement raises DecodeFailureError.
+    Share ids are 1-based.  The first `threshold` columns are decoded,
+    and every column beyond them is predicted from the same ones, in the
+    same kernel pass: a block whose extra shares differ from their
+    predictions lies on no single codeword, and DecodeFailureError is
+    raised.  The prediction rows are E.V^-1, so a block fails here
+    exactly when re-encoding its decoded key and message misses an
+    extra share.
     """
     ids = tuple(int(i) for i in ids)
     for i in ids:
@@ -134,12 +150,9 @@ def decode_blocks(spec: CosetCodeSpec, ids, shares: np.ndarray) -> np.ndarray:
     shares = np.asarray(shares)
     if shares.ndim != 2 or shares.shape[1] != len(ids):
         raise ParameterError("share array does not match the id list")
-    inv, extra = _decode_solver(spec, ids)
-    m = spec.threshold
-    x = array_matmul(spec.field, shares[:, :m], inv.T)
-    if len(extra):
-        redo = array_matmul(spec.field, x, extra.T)
-        if not np.array_equal(redo, shares[:, m:]):
-            raise DecodeFailureError(
-                "shares are inconsistent with any single codeword")
-    return x[:, spec.wiretap:]
+    m, k = spec.threshold, spec.k
+    out = array_matmul(spec.field, shares.T[:m], _decode_solver(spec, ids))
+    if not np.array_equal(out[:, k:], shares[:, m:]):
+        raise DecodeFailureError(
+            "shares are inconsistent with any single codeword")
+    return out[:, :k]

@@ -59,14 +59,14 @@ def _poly_mod(a: int, mod: int) -> int:
 
 
 def _is_irreducible_deg8(poly: int) -> bool:
+    return poly.bit_length() - 1 == 8 and _has_no_small_factor(poly)
+
+
+@lru_cache(maxsize=None)  # at most the 256 degree-8 masks
+def _has_no_small_factor(poly: int) -> bool:
     # a degree-8 polynomial over GF(2) is irreducible iff it has no
     # factor of degree 1..4
-    if poly.bit_length() - 1 != 8:
-        return False
-    for d in range(2, 1 << 5):
-        if _poly_mod(poly, d) == 0:
-            return False
-    return True
+    return all(_poly_mod(poly, d) != 0 for d in range(2, 1 << 5))
 
 
 @dataclass(frozen=True)
@@ -177,13 +177,18 @@ def _binary8_tables(poly: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
+def _binary8_log_exp(poly: int) -> tuple[np.ndarray, np.ndarray]:
+    """The log and exp tables as int64 arrays."""
+    exp, log = _binary8_tables(poly)
+    return np.array(log, dtype=np.int64), np.array(exp, dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
 def _binary8_mul_table(poly: int) -> np.ndarray:
     """256 x 256 product table; row g is the split-table row for
     multiplying by the constant g."""
-    exp, log = _binary8_tables(poly)
-    exp = np.array(exp, dtype=np.uint8)
-    log = np.array(log, dtype=np.intp)
-    table = exp[log[:, None] + log[None, :]]
+    log, exp = _binary8_log_exp(poly)
+    table = exp[log[:, None] + log[None, :]].astype(np.uint8)
     table[0, :] = 0
     table[:, 0] = 0
     table.flags.writeable = False
@@ -292,7 +297,8 @@ def as_symbols(spec: FieldSpec, values) -> np.ndarray:
     field's symbol dtype.
 
     Bytes-like input is read one symbol per byte without copying; any
-    other sequence is range-checked in one pass.
+    other sequence is range-checked in one pass, unless its dtype holds
+    nothing but field elements (bytes over GF(2^8)).
     """
     if isinstance(values, (bytes, bytearray, memoryview)):
         arr = np.frombuffer(values, dtype=np.uint8)
@@ -300,7 +306,8 @@ def as_symbols(spec: FieldSpec, values) -> np.ndarray:
         arr = np.asarray(values)
     if arr.ndim < 1:
         raise ParameterError("expected a sequence of symbols")
-    if arr.size:
+    if arr.size and not (arr.dtype.kind == "u"
+                         and (1 << 8 * arr.dtype.itemsize) <= spec.order):
         lo, hi = arr.min(), arr.max()
         if lo < 0 or hi >= spec.order:
             raise ParameterError(
@@ -315,61 +322,132 @@ def _array_mul(spec: FieldSpec, x, y) -> np.ndarray:
     return _binary8_mul_table(spec.modulus)[x, y].astype(np.int64)
 
 
-def matrix_inverse(spec: FieldSpec, a) -> np.ndarray:
-    """Inverse of a square matrix by one Gauss-Jordan elimination on
-    [A | I], each pivot step one vectorized row operation.
+def _array_add(spec: FieldSpec, x, y) -> np.ndarray:
+    """Elementwise field sum of broadcastable int64 arrays."""
+    if spec.kind == PRIME:
+        return (x + y) % spec.modulus
+    return x ^ y
 
-    Raises SingularMatrixError when the matrix has no inverse.
+
+def _array_sub(spec: FieldSpec, x, y) -> np.ndarray:
+    """Elementwise field difference of broadcastable int64 arrays."""
+    if spec.kind == PRIME:
+        return (x - y) % spec.modulus
+    return x ^ y
+
+
+def _nonzero_prod(spec: FieldSpec, x: np.ndarray) -> np.ndarray:
+    """Field product along the last axis of int64 nonzero elements."""
+    if spec.kind == PRIME:
+        out = np.ones(x.shape[:-1], dtype=np.int64)
+        for column in np.moveaxis(x, -1, 0):
+            out = out * column % spec.modulus
+        return out
+    log, exp = _binary8_log_exp(spec.modulus)
+    return exp[log[x].sum(axis=-1) % 255]
+
+
+def _nonzero_inv(spec: FieldSpec, x: np.ndarray) -> np.ndarray:
+    """Elementwise inverse of int64 nonzero elements."""
+    if spec.kind == PRIME:
+        p = spec.modulus  # x^(p-2); every product stays below p^2 < 2^32
+        out, base, e = np.ones_like(x), x % p, p - 2
+        while e:
+            if e & 1:
+                out = out * base % p
+            base = base * base % p
+            e >>= 1
+        return out
+    log, exp = _binary8_log_exp(spec.modulus)
+    return exp[255 - log[x]]
+
+
+def lagrange_rows(spec: FieldSpec, nodes: Sequence[int], top: int,
+                  points: Sequence[int] = ()) -> np.ndarray:
+    """Interpolation on distinct `nodes` x_0..x_{m-1}, in closed form.
+
+    Returns a (top + len(points), m) int64 array.  Its first `top` rows
+    are the last rows of V^-1, V the m x m Vandermonde matrix on the
+    nodes: row r maps the values at the nodes to the coefficient of
+    t^(m - top + r) of the interpolating polynomial.  The remaining rows
+    are E.V^-1 for the Vandermonde rows E of `points` (none a node): they
+    map the same values to the polynomial's values at the points.
+
+    Column i of V^-1 holds the coefficients of the Lagrange basis
+    polynomial P(t) / ((t - x_i) P'(x_i)), P(t) = prod (t - x_r)
+    (Traub 1966).  Synthetic division from the top gives the quotient's
+    coefficients a_j + x_i q_j one degree down, so the top rows need
+    only the top coefficients a_j of P: O(top.m) products.  The weights
+    1 / P'(x_i), and P(y) / (y - x_i) at each point y, are products of
+    node differences, vectorized over the nodes: sums of logs over
+    GF(2^8), running products and Fermat inverses over GF(p).
     """
-    m = np.array(a, dtype=np.int64)
-    n = m.shape[0]
-    if m.ndim != 2 or m.shape[1] != n:
-        raise ParameterError("matrix_inverse expects a square matrix")
-    m = np.concatenate([m, np.eye(n, dtype=np.int64)], axis=1)
-    for col in range(n):
-        nonzero = np.flatnonzero(m[col:, col])
-        if nonzero.size == 0:
-            raise SingularMatrixError(f"matrix is singular at column {col}")
-        pivot = col + int(nonzero[0])
-        m[[col, pivot]] = m[[pivot, col]]
-        m[col] = _array_mul(spec, m[col], spec.inv(int(m[col, col])))
-        factors = m[:, col].copy()
-        factors[col] = 0
-        if spec.kind == PRIME:
-            m = (m - np.outer(factors, m[col])) % spec.modulus
-        else:
-            table = _binary8_mul_table(spec.modulus)
-            m ^= np.take(table[factors], m[col], axis=1)
-    return m[:, n:].astype(symbol_dtype(spec.order))
+    x = np.array(nodes, dtype=np.int64)
+    y = np.array(points, dtype=np.int64)
+    m = len(x)
+    if not 0 <= top <= m:
+        raise ParameterError("lagrange_rows takes 0..m top rows")
+    diff = _array_sub(spec, x[:, None], x[None, :])
+    np.fill_diagonal(diff, 1)
+    weights = _nonzero_inv(spec, _nonzero_prod(spec, diff))
+    # a[s] is the coefficient of t^(m - s) of P, for s < top
+    a = np.zeros(top, dtype=np.int64)
+    a[:1] = 1
+    for v in x:
+        a[1:] = _array_sub(spec, a[1:], _array_mul(spec, a[:-1], v))
+    rows = np.empty((top + len(y), m), dtype=np.int64)
+    q = np.ones(m, dtype=np.int64)  # quotient coefficient of t^(m-1)
+    for r in range(top - 1, -1, -1):
+        rows[r] = _array_mul(spec, q, weights)
+        if r:
+            q = _array_add(spec, _array_mul(spec, q, x), a[top - r])
+    if len(y):
+        at = _array_sub(spec, y[:, None], x[None, :])
+        rows[top:] = _array_mul(spec, _nonzero_prod(spec, at)[:, None],
+                                _array_mul(spec, _nonzero_inv(spec, at),
+                                           weights))
+    return rows
 
 
-def array_matmul(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact field matrix product of (n, k) and (k, m) integer arrays.
+def array_matmul(spec: FieldSpec, columns, b: np.ndarray) -> np.ndarray:
+    """Exact field product of an (n, k) matrix, given as its k columns,
+    and a (k, m) matrix `b` of constants: an (n, m) array.
 
-    `b` is a small matrix of constants.  The product is built as its
-    (m, n) transpose, one inner index at a time, so every step streams a
-    contiguous row of `a.T`: over GF(2^8) each step looks its row up in
-    the product-table rows of that inner index's constants (the
-    split-table method), over GF(p) it accumulates in the narrowest
+    `columns` is a sequence of k length-n integer arrays, taken as they
+    lie: a (k, n) array, or strided column views of several arrays.  The
+    product is built as its (m, n) transpose, one inner index at a time.
+    A row of `b` that is all zeros adds nothing and one that is all ones
+    adds its column as it is.  Any other row, over GF(2^8), looks its
+    column up in the product-table rows of its constants (the
+    split-table method); over GF(p) it accumulates in the narrowest
     unsigned dtype that holds the sum of products.  Returns an (n, m)
     view in the field's symbol dtype.
     """
     dtype = symbol_dtype(spec.order)
-    rows = np.asarray(a).T.astype(dtype, copy=False)
     b = np.asarray(b, dtype=np.int64)
-    inner, n = rows.shape
-    if b.shape[0] != inner:
+    inner = len(columns)
+    if inner == 0 or b.ndim != 2 or b.shape[0] != inner:
         raise ParameterError("array_matmul shapes do not align")
+    n = len(columns[0])
+    zeros = ~b.any(axis=1)
+    ones = (b == 1).all(axis=1)
     if spec.kind == PRIME:
         p = spec.modulus
         wide = symbol_dtype((p - 1) ** 2 * inner + 1)
         acc = np.zeros((b.shape[1], n), dtype=wide)
-        for j in range(inner):
-            acc += b[j].astype(wide)[:, None] * rows[j]
-        out = (acc % p).astype(dtype)
     else:
         table = _binary8_mul_table(spec.modulus)
-        out = np.zeros((b.shape[1], n), dtype=dtype)
-        for j in range(inner):
-            out ^= np.take(table[b[j]], rows[j], axis=1)
-    return out.T
+        acc = np.zeros((b.shape[1], n), dtype=dtype)
+    for column, row, zero, one in zip(columns, b, zeros, ones):
+        if zero:
+            continue
+        column = np.asarray(column).astype(dtype, copy=False)
+        if spec.kind == PRIME:
+            acc += column if one else row.astype(wide)[:, None] * column
+        elif one:
+            acc ^= column
+        else:
+            acc ^= np.take(table[row], column, axis=1)
+    if spec.kind == PRIME:
+        acc = (acc % p).astype(dtype)
+    return acc.T

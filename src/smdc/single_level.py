@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import ceil
 from typing import Mapping, Sequence
 
@@ -83,8 +84,16 @@ class BundleLayout:
     def key_symbols(self) -> int:
         return sum(r.count for r in self.runs) * self.params.wiretap
 
+    @cached_property
+    def _emitted(self) -> dict[int, int]:
+        counts = dict.fromkeys(range(1, self.params.length + 1), 0)
+        for r in self.runs:
+            for l in r.active:
+                counts[l] += r.count
+        return counts
+
     def emitted(self, encoder: int) -> int:
-        return sum(r.count for r in self.runs if encoder in r.active)
+        return self._emitted.get(encoder, 0)
 
 
 @dataclass(frozen=True)

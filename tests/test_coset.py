@@ -5,13 +5,15 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from field_oracle import matrix_inverse
 from smdc.coset import CosetCodeSpec, decode_blocks, encode_blocks
 from smdc.errors import (
     DecodeFailureError,
     InsufficientSharesError,
     ParameterError,
 )
-from smdc.fields import binary8_field, prime_field
+from smdc.fields import (array_matmul, binary8_field, lagrange_rows,
+                         prime_field, vandermonde_array)
 from smdc.randomness import (SequenceSymbolSource, SystemSymbolSource,
                              as_symbol_source)
 
@@ -227,3 +229,97 @@ def test_block_paths_match_scalar_paths(field):
     with pytest.raises(DecodeFailureError):
         decode_blocks(spec, (1, 2, 3, 4), bad)
 
+
+
+def _scalar_matmul(field, a, b):
+    return [[_dot(field, row, col) for col in zip(*b)] for row in a]
+
+
+def _dot(field, u, v):
+    acc = 0
+    for x, y in zip(u, v):
+        acc = field.add(acc, field.mul(int(x), int(y)))
+    return acc
+
+
+@pytest.mark.parametrize("field", [GF256, GF5, prime_field(251),
+                                   prime_field(65521)])
+def test_lagrange_rows_match_the_inverse(field):
+    # the closed-form rows are the last rows of the Gauss-Jordan inverse
+    # of the Vandermonde matrix on the nodes, and the prediction rows
+    # are E.V^-1 for the Vandermonde rows E of the extra points
+    rng = np.random.default_rng(2024)
+    q = field.order
+    for _ in range(30):
+        total = int(rng.integers(1, min(q, 12) + 1))
+        m = int(rng.integers(1, total + 1))
+        nodes = [int(v) for v in rng.choice(q, size=total, replace=False)]
+        top = int(rng.integers(0, m + 1))
+        inv = matrix_inverse(field, vandermonde_array(field, nodes[:m], m))
+        extra = vandermonde_array(field, nodes[m:], m)
+        want = inv[m - top:].tolist() + _scalar_matmul(field, extra, inv)
+        got = lagrange_rows(field, nodes[:m], top, nodes[m:])
+        assert got.shape == (top + total - m, m)
+        assert got.tolist() == want
+
+
+def _old_decode(spec, ids, shares):
+    """The decoder this module had before: invert the threshold ids'
+    generator rows, decode key and message, re-encode them at the extra
+    ids and compare.  None when the comparison fails."""
+    gen = vandermonde_array(spec.field, spec.nodes, spec.threshold)
+    rows = [i - 1 for i in ids]
+    m = spec.threshold
+    inv = matrix_inverse(spec.field, gen[rows[:m]])
+    x = array_matmul(spec.field, shares[:, :m].T, inv.T)
+    redo = array_matmul(spec.field, x.T, gen[rows[m:]].T)
+    if not np.array_equal(redo, shares[:, m:]):
+        return None
+    return x[:, spec.wiretap:]
+
+
+@pytest.mark.parametrize("field", [GF256, GF7])
+def test_tampered_extra_shares_fail_exactly_as_before(field):
+    # tamper with 1..e extra share columns of random blocks, with deltas
+    # that may be zero, and sometimes shift a whole block by a codeword
+    # (consistent, so it must pass): the one-pass check must refuse
+    # exactly the arrays, and the blocks, that the old two-step check did
+    rng = np.random.default_rng(77)
+    q = field.order
+    spec = CosetCodeSpec(field, 6, 2, 3)
+    n = 12
+    verdicts = set()
+    for _ in range(60):
+        ids = tuple(int(i) + 1 for i in rng.permutation(6)[:int(
+            rng.integers(4, 7))])
+        e = len(ids) - spec.threshold
+        msgs = rng.integers(0, q, size=(n, spec.k))
+        keys = rng.integers(0, q, size=(n, spec.wiretap))
+        shares = encode_blocks(spec, msgs, keys)[:, [i - 1 for i in ids]]
+        shares = shares.astype(np.int64)
+        for _ in range(int(rng.integers(1, 4))):
+            block = int(rng.integers(0, n))
+            cols = spec.threshold + rng.choice(
+                e, size=int(rng.integers(1, e + 1)), replace=False)
+            shares[block, cols] = (shares[block, cols]
+                                   + rng.integers(0, 3, size=len(cols))) % q
+        if rng.integers(0, 3) == 0:
+            block = int(rng.integers(0, n))
+            shift = encode_blocks(spec, rng.integers(0, q, (1, spec.k)),
+                                  rng.integers(0, q, (1, spec.wiretap)))
+            shift = shift[0, [i - 1 for i in ids]].astype(np.int64)
+            if field is GF256:
+                shares[block] ^= shift
+            else:
+                shares[block] = (shares[block] + shift) % q
+        for rows in [slice(None)] + [slice(b, b + 1) for b in range(n)]:
+            old = _old_decode(spec, ids, shares[rows])
+            try:
+                got = decode_blocks(spec, ids, shares[rows])
+            except DecodeFailureError:
+                got = None
+            assert (got is None) == (old is None)
+            if old is not None:
+                assert np.array_equal(got, old)
+            verdicts.add(old is None)
+    assert verdicts == {True, False}

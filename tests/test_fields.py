@@ -6,12 +6,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from field_oracle import matrix_inverse
+from smdc import fields
 from smdc.errors import ParameterError, SingularMatrixError
 from smdc.fields import (
     FieldSpec,
     array_matmul,
     binary8_field,
-    matrix_inverse,
     matrix_rank,
     prime_field,
     solve_linear_int,
@@ -103,6 +104,23 @@ def test_alternative_reduction_polynomial_accepted():
     f = binary8_field(0x11D)
     for a in range(1, 256):
         assert f.mul(a, f.inv(a)) == 1
+
+
+def test_binary8_polynomial_is_checked_once(monkeypatch):
+    # share files build a fresh spec per share; only the first spec of a
+    # polynomial pays for the irreducibility test
+    binary8_field(0x11D)
+    reductions = []
+    real = fields._poly_mod
+    monkeypatch.setattr(fields, "_poly_mod",
+                        lambda a, mod: reductions.append(mod) or real(a, mod))
+    binary8_field(0x11D)
+    binary8_field(0x11D)
+    assert reductions == []
+    for _ in range(2):
+        with pytest.raises(ParameterError, match=r"^0x11A is not an "
+                           r"irreducible degree-8 polynomial$"):
+            binary8_field(0x11A)  # x divides it
 
 
 def test_specs_are_value_objects():
@@ -234,11 +252,23 @@ def test_vandermonde_minors_nonsingular_binary8():
 def test_array_matmul_matches_scalar_loop(field):
     rng = np.random.default_rng(42)
     q = field.order
-    for _ in range(25):
+    for trial in range(40):
         n, k, m = (int(v) for v in rng.integers(1, 6, size=3))
         a = rng.integers(0, q, size=(n, k))
         b = rng.integers(0, q, size=(k, m))
-        got = array_matmul(field, a, b)
+        # the kernel adds an all-ones row's column without a lookup and
+        # skips an all-zeros row; random rows are almost never either
+        for j in rng.choice(k, size=int(rng.integers(0, k + 1)),
+                            replace=False):
+            b[j] = int(rng.integers(0, 2))
+        if trial % 2:
+            got = array_matmul(field, a.T, b)
+        else:
+            # columns as they lie in an (n, k) array of symbols: strided
+            # views, one of them taken from a second array
+            sym = a.astype(np.uint8 if q <= 256 else np.uint16)
+            other = np.ascontiguousarray(sym[:, ::-1])
+            got = array_matmul(field, (*sym.T[:-1], other[:, 0]), b)
         for i in range(n):
             for j in range(m):
                 acc = 0

@@ -198,9 +198,19 @@ def test_disk_round_trip_is_atomic(tmp_path):
 
 
 def test_wide_split_and_join_of_one_byte_sources():
-    # (L, N) = (24, 3): one m x m inverse per source level, up to m = 24,
-    # and no C(24, 12)-row region anywhere on the path
+    # (L, N) = (24, 3): one set of decode rows per source level, up to
+    # m = 24, and no C(24, 12)-row region anywhere on the path
     datas = [bytes([k]) for k in range(21)]
     shares = split_files(binary8_field(), 24, 3, datas, source=24)
     assert join_files(shares) == datas
     assert join_files(shares[::2]) == datas[:9]
+
+
+def test_join_at_the_largest_length():
+    # (255, 3), the widest split a share file holds: 252 levels, the
+    # last one decoded from 255 nodes
+    datas = [bytes([k]) for k in range(252)]
+    shares = split_files(binary8_field(), 255, 3, datas, source=255)
+    assert join_files(shares) == datas
+    subset = sorted(random.Random(255).sample(range(255), 4))
+    assert join_files([shares[i] for i in subset]) == datas[:1]
