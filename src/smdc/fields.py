@@ -6,6 +6,9 @@ polynomial (given as a 9-bit mask, default 0x11B).  Scalar arithmetic on
 plain ints goes through :class:`FieldSpec`; the scalar linear algebra
 (`solve_linear_int`, `matrix_rank`) is kept as a reference for tests, and
 all bulk block math uses the numpy helpers at the bottom of the module.
+The block kernel `array_matmul` reduces GF(p) sums by floor division,
+x - (x // p) p: numpy divides 8- to 32-bit words by a scalar as a
+vectorized multiply and shift, but takes x % p one division per entry.
 """
 
 from __future__ import annotations
@@ -420,8 +423,9 @@ def array_matmul(spec: FieldSpec, columns, b: np.ndarray) -> np.ndarray:
     adds its column as it is.  Any other row, over GF(2^8), looks its
     column up in the product-table rows of its constants (the
     split-table method); over GF(p) it accumulates in the narrowest
-    unsigned dtype that holds the sum of products.  Returns an (n, m)
-    view in the field's symbol dtype.
+    unsigned dtype that holds the sum of products, and reduces the sum
+    once at the end by floor division, x - (x // p) p, in that same
+    dtype.  Returns an (n, m) view in the field's symbol dtype.
     """
     dtype = symbol_dtype(spec.order)
     b = np.asarray(b, dtype=np.int64)
@@ -449,5 +453,6 @@ def array_matmul(spec: FieldSpec, columns, b: np.ndarray) -> np.ndarray:
         else:
             acc ^= np.take(table[row], column, axis=1)
     if spec.kind == PRIME:
-        acc = (acc % p).astype(dtype)
+        acc -= acc // p * p  # not %: see the module docstring
+        acc = acc.astype(dtype, copy=False)
     return acc.T

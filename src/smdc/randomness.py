@@ -29,8 +29,9 @@ class SystemSymbolSource:
     Reads bulk random words of the symbol dtype (bytes up to q = 256,
     little-endian 16-bit words up to 65536, and so on) and
     rejection-samples them: only words below the largest multiple of q
-    that the word range holds are kept, so `word % q` has no modulo bias.
-    For q = 256 every byte is a symbol.
+    that the word range holds are kept, so the residue
+    word - (word // q) q has no modulo bias.  Each kept word gives one
+    symbol; for q = 256 every byte is a symbol.
     """
 
     def draw(self, q: int, n: int) -> np.ndarray:
@@ -49,7 +50,7 @@ class SystemSymbolSource:
             if limit < span:
                 raw = raw[raw < limit]
             raw = raw[:want]
-            out[have:have + raw.size] = raw if q == span else raw % q
+            out[have:have + raw.size] = raw if q == span else raw - raw // q * q
             have += raw.size
         return out
 

@@ -21,6 +21,7 @@ import os
 import struct
 import tempfile
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,24 +69,34 @@ def symbols_per_byte(field: FieldSpec) -> int:
     return t
 
 
-def _digit_weights(field: FieldSpec) -> np.ndarray:
-    """p^(t-1), ..., p, 1: big endian base-p digit weights of one byte.
-    p^(t-1) < 256 by the choice of t, so the weights fit in uint8."""
-    t = symbols_per_byte(field)
-    return field.modulus ** np.arange(t - 1, -1, -1, dtype=np.uint32)
+@lru_cache(maxsize=None)  # 256 x t bytes per prime field
+def _digit_table(field: FieldSpec) -> np.ndarray:
+    """Row b holds the big endian base-p digits of the byte b: a
+    read-only 256 x symbols_per_byte() uint8 array."""
+    p = field.modulus
+    weights = p ** np.arange(symbols_per_byte(field) - 1, -1, -1)
+    table = (np.arange(256)[:, None] // weights % p).astype(np.uint8)
+    table.flags.writeable = False
+    return table
 
 
 def bytes_to_symbols(field: FieldSpec, data: bytes) -> np.ndarray:
     """Big endian base-q digits, symbols_per_byte() of them per byte, as
-    a uint8 array."""
+    a uint8 array: one gather from the field's digit table."""
     raw = np.frombuffer(data, dtype=np.uint8)
     if field.kind == BINARY8:
         return raw
-    weights = _digit_weights(field).astype(np.uint8)
-    return ((raw[:, None] // weights) % field.modulus).reshape(-1)
+    return _digit_table(field).take(raw, axis=0).reshape(-1)
 
 
 def symbols_to_bytes(field: FieldSpec, symbols, n_bytes: int) -> bytes:
+    """Inverse of bytes_to_symbols; raises DecodeFailureError unless
+    every group of digits names a byte.
+
+    Each byte is rebuilt by Horner's rule, v = v p + d, in uint32 for
+    uint8 digits (v < 255 (p^t - 1) / (p - 1) < 2^17) and in int64 for
+    any other input.
+    """
     t = symbols_per_byte(field)
     digits = symbols if isinstance(symbols, np.ndarray) else np.asarray(
         symbols, dtype=np.int64)
@@ -95,8 +106,12 @@ def symbols_to_bytes(field: FieldSpec, symbols, n_bytes: int) -> bytes:
     if field.kind == BINARY8:
         values = digits
     else:
-        # uint8 digits promote to the uint32 weights, int digits stay int64
-        values = digits.reshape(n_bytes, t) @ _digit_weights(field)
+        groups = digits.reshape(n_bytes, t)
+        wide = np.uint32 if digits.dtype == np.uint8 else np.int64
+        values = groups[:, 0].astype(wide)
+        for j in range(1, t):
+            values *= field.modulus
+            values += groups[:, j].astype(wide, copy=False)
     if values.size and (values.min() < 0 or values.max() > 255):
         raise DecodeFailureError("recovered symbols do not form bytes")
     return values.astype(np.uint8).tobytes()

@@ -180,8 +180,14 @@ def rate_layout(params: CosetCodeSpec, message_symbols: int,
 
 def symmetric_layout(params: CosetCodeSpec,
                      message_symbols: int) -> BundleLayout:
-    share = Fraction(1, params.k)
-    return rate_layout(params, message_symbols, (share,) * params.length)
+    """rate_layout at every rate 1/k, in closed form: every encoder's
+    budget is ceil(h/k) blocks, so the schedule is one run over all L
+    encoders with k message symbols per block (none when h = 0)."""
+    if message_symbols < 0:
+        raise ParameterError("message length cannot be negative")
+    blocks = -(-message_symbols // params.k)
+    run = BlockRun(tuple(range(1, params.length + 1)), params.k, blocks)
+    return BundleLayout(params, (run,) if blocks else (), message_symbols)
 
 
 def corner_layout(params: CosetCodeSpec, message_symbols: int,

@@ -277,6 +277,25 @@ def test_array_matmul_matches_scalar_loop(field):
                 assert got[i, j] == acc
 
 
+# inner widths on both sides of each switch of the GF(p) accumulator
+# dtype: (p - 1)^2 * inner first exceeds 255 at inner 256 over GF(2) and
+# 16 over GF(5), 65535 at inner 2 over GF(251), and 2^32 - 1 at inner 2
+# over GF(65521)
+@pytest.mark.parametrize("p, inner, wide", [
+    (2, 255, np.uint8), (2, 256, np.uint16),
+    (5, 15, np.uint8), (5, 16, np.uint16),
+    (251, 1, np.uint16), (251, 2, np.uint32),
+    (65521, 1, np.uint32), (65521, 2, np.uint64)])
+def test_array_matmul_at_the_accumulator_edges(p, inner, wide):
+    field = prime_field(p)
+    assert fields.symbol_dtype((p - 1) ** 2 * inner + 1) is wide
+    n, m = 3, 2
+    top = np.full((inner, n), p - 1, dtype=fields.symbol_dtype(p))
+    got = array_matmul(field, top, np.full((inner, m), p - 1))
+    assert got.dtype == fields.symbol_dtype(p)
+    assert got.tolist() == [[(p - 1) ** 2 * inner % p] * m] * n
+
+
 @pytest.mark.parametrize("field", [prime_field(5), prime_field(251),
                                    prime_field(65521), binary8_field()])
 def test_matrix_inverse_matches_column_solves(field):

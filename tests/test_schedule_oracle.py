@@ -13,10 +13,11 @@ from math import ceil
 import pytest
 
 from smdc.coset import CosetCodeSpec
-from smdc.errors import RegionViolationError, SmdcError
+from smdc.errors import ParameterError, RegionViolationError, SmdcError
 from smdc.fields import GF5, binary8_field
 from smdc.region import region, violated_subsets
-from smdc.single_level import BlockRun, BundleLayout, _as_rates, rate_layout
+from smdc.single_level import (BlockRun, BundleLayout, _as_rates, rate_layout,
+                               symmetric_layout)
 
 F = Fraction
 
@@ -124,3 +125,18 @@ def test_negative_rate_is_its_own_witness():
     with pytest.raises(RegionViolationError) as exc:
         rate_layout(params, 2, rates)
     assert exc.value.subset == (2,)
+
+
+def test_symmetric_layout_is_rate_layout_at_equal_rates():
+    # rate_layout at rates 1/k is the reference for the closed form
+    for length in range(2, 12):
+        for wiretap in range(1, length):
+            for threshold in range(wiretap + 1, length + 1):
+                params = CosetCodeSpec(binary8_field(), length, wiretap,
+                                       threshold)
+                rates = (F(1, params.k),) * length
+                for h in [*range(40), 1023, 1024, 1025, 65536]:
+                    assert symmetric_layout(params, h) == \
+                        rate_layout(params, h, rates)
+                with pytest.raises(ParameterError):
+                    symmetric_layout(params, -1)

@@ -7,15 +7,17 @@ below, independent of the writer.
 import os
 import random
 
+import numpy as np
 import pytest
 
 from smdc.errors import (DecodeFailureError, InsufficientSharesError,
                          ParameterError, ShareFormatError)
-from smdc.fields import GF5, binary8_field, prime_field
-from smdc.shareio import (BINARY8_FIELD_ID, ShareFile, bytes_to_symbols,
-                          dump_share, field_from_id, field_to_id, join_files,
-                          load_share, read_share, split_files,
-                          symbols_per_byte, symbols_to_bytes, write_share)
+from smdc.fields import GF5, _is_prime, binary8_field, prime_field
+from smdc.shareio import (BINARY8_FIELD_ID, MAX_PRIME_FIELD_ID, ShareFile,
+                          bytes_to_symbols, dump_share, field_from_id,
+                          field_to_id, join_files, load_share, read_share,
+                          split_files, symbols_per_byte, symbols_to_bytes,
+                          write_share)
 
 HAND_BLOB = (
     b"SMDC"
@@ -101,6 +103,86 @@ def test_byte_symbol_round_trip(p):
     assert len(symbols) == 200 * symbols_per_byte(field)
     assert all(0 <= s < p for s in symbols)
     assert symbols_to_bytes(field, symbols, 200) == data
+
+
+SHARE_FILE_PRIMES = [p for p in range(2, MAX_PRIME_FIELD_ID + 1)
+                     if _is_prime(p)]
+
+
+def digits_of(p, t, value, cap=None):
+    """t big endian base-p digits summing to value, each at most `cap`
+    (the top one unbounded if cap is None), greedily from the top; None
+    if the cap leaves a remainder."""
+    out = []
+    for j in range(t - 1, -1, -1):
+        d = value // p ** j if cap is None else min(cap, value // p ** j)
+        out.append(d)
+        value -= d * p ** j
+    return out if value == 0 else None
+
+
+def old_symbols_to_bytes(field, digits, n_bytes):
+    """The weighted digit sum as one matrix product, as symbols_to_bytes
+    computed it before Horner's rule: uint8 digits promote to uint32
+    weights, int lists stay int64.  None where it refused."""
+    t = symbols_per_byte(field)
+    if not isinstance(digits, np.ndarray):
+        digits = np.asarray(digits, dtype=np.int64)
+    weights = field.modulus ** np.arange(t - 1, -1, -1, dtype=np.uint32)
+    values = digits.reshape(n_bytes, t) @ weights
+    if values.size and (values.min() < 0 or values.max() > 255):
+        return None
+    return values.astype(np.uint8).tobytes()
+
+
+@pytest.mark.parametrize("p", SHARE_FILE_PRIMES)
+def test_every_byte_round_trips_in_every_share_file_field(p):
+    field = prime_field(p)
+    t = symbols_per_byte(field)
+    data = bytes(range(256))
+    symbols = bytes_to_symbols(field, data)
+    assert symbols.dtype == np.uint8
+    assert symbols.tolist() == [d for b in data for d in digits_of(p, t, b)]
+    assert symbols_to_bytes(field, symbols, 256) == data
+    assert symbols_to_bytes(field, symbols.tolist(), 256) == data
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 17, 251])
+def test_symbols_to_bytes_gives_the_weighted_sum_verdict(p):
+    field = prime_field(p)
+    t = symbols_per_byte(field)
+    rng = np.random.default_rng(p)
+    # groups worth more than a byte: 2^16 + x would wrap to x in a uint16
+    # sum (over GF(3), t = 6 and uint8 digits reach 255 * 364 > 2^16),
+    # as uint8 digits where they can and as int digits always
+    groups = []
+    for value in (256, 300, 1 << 16, (1 << 16) + 77, (1 << 32) + 5):
+        groups += [digits_of(p, t, value, 255), digits_of(p, t, value)]
+    groups += [[-1] + [0] * (t - 1), [0] * (t - 1) + [-p]]
+    groups += [rng.integers(0, 256, size=t).tolist() for _ in range(40)]
+    groups = [g for g in groups if g is not None]
+    valid = [digits_of(p, t, b) for b in (0, 1, 255)]
+    for group in groups:
+        for n_bytes, digits in ((1, group), (4, [*valid[0], *group,
+                                                 *valid[1], *valid[2]])):
+            inputs = [digits]
+            if all(0 <= d <= 255 for d in digits):
+                inputs.append(np.array(digits, dtype=np.uint8))
+            for given in inputs:
+                want = old_symbols_to_bytes(field, given, n_bytes)
+                if want is None:
+                    with pytest.raises(DecodeFailureError):
+                        symbols_to_bytes(field, given, n_bytes)
+                else:
+                    assert symbols_to_bytes(field, given, n_bytes) == want
+    # over GF(3) the uint8 group worth 2^16 + 77 above would pass as the
+    # byte 77 if the sum were taken in uint16
+    if p == 3:
+        wraps = np.array(digits_of(3, 6, (1 << 16) + 77, 255), np.uint8)
+        assert (wraps.astype(np.uint16) @ (3 ** np.arange(5, -1, -1))
+                .astype(np.uint16)) == 77
+        with pytest.raises(DecodeFailureError):
+            symbols_to_bytes(field, wraps, 1)
 
 
 def test_symbols_to_bytes_rejects_bad_input():
