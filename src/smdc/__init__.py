@@ -4,12 +4,10 @@ from .coset import CosetCodeSpec
 from .errors import (
     BudgetExceededError,
     DecodeFailureError,
-    InfeasibleCornerError,
     InsufficientSharesError,
     ParameterError,
     RegionViolationError,
     ShareFormatError,
-    SingularMatrixError,
     SmdcError,
 )
 from .fields import FieldSpec, binary8_field, prime_field
@@ -54,8 +52,7 @@ from .verify import (
     enumerate_joint,
     verification_report,
 )
-from .wiretap import (WiretapNetwork, achievable_secrecy_rate,
-                      admissible_by_separation, secrecy_rate)
+from .wiretap import WiretapNetwork, secrecy_rate
 
 __all__ = [
     "BudgetExceededError",
@@ -63,7 +60,6 @@ __all__ = [
     "DecodeFailureError",
     "FieldSpec",
     "InequalitySystem",
-    "InfeasibleCornerError",
     "InsufficientSharesError",
     "LinExpr",
     "ParameterError",
@@ -72,7 +68,6 @@ __all__ = [
     "SequenceSymbolSource",
     "ShareFile",
     "ShareFormatError",
-    "SingularMatrixError",
     "SmdcError",
     "SmdcParams",
     "SmdcShareBundle",
@@ -80,8 +75,6 @@ __all__ = [
     "SystemSymbolSource",
     "VerifierBudget",
     "WiretapNetwork",
-    "achievable_secrecy_rate",
-    "admissible_by_separation",
     "as_symbol_source",
     "binary8_field",
     "check_perfect_secrecy",

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .coset import CosetCodeSpec
 from .errors import (BudgetExceededError, DecodeFailureError,
@@ -88,7 +89,10 @@ def _pair(v: Fraction) -> list[int]:
     return [v.numerator, v.denominator]
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The `smdc` parser, built once per process: parsing leaves it as it
+    was, and building it costs some twenty times a parse."""
     parser = argparse.ArgumentParser(
         prog="smdc",
         description="Split files into shares that survive erasures and "
@@ -261,6 +265,14 @@ def _cmd_wn(args) -> int:
         raise ParameterError(f"need {args.length} rates")
     net = WiretapNetwork(args.length, args.wiretap, args.threshold,
                          tuple(rates))
+    entropy = None
+    if args.entropy is not None:
+        values = _parse_fractions(args.entropy)
+        if len(values) != 1:
+            raise ParameterError("--entropy takes one value")
+        entropy = values[0]
+        if entropy < 0:
+            raise ParameterError("entropies must be nonnegative")
 
     def cut(fn, subset) -> Fraction:
         value = fn(net, subset)
@@ -285,11 +297,7 @@ def _cmd_wn(args) -> int:
         "secrecy_rate": _pair(secrecy),
     }
     code = EXIT_OK
-    if args.entropy is not None:
-        values = _parse_fractions(args.entropy)
-        if len(values) != 1:
-            raise ParameterError("--entropy takes one value")
-        entropy = values[0]
+    if entropy is not None:
         supported = entropy <= secrecy
         report["supports_entropy"] = {"entropy": _pair(entropy),
                                       "ok": supported}
@@ -327,8 +335,7 @@ def _cmd_verify(args) -> int:
 
 
 def entry(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {
         "split": _cmd_split,
         "join": _cmd_join,

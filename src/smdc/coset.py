@@ -5,11 +5,12 @@ into L share symbols, one per encoder.  Any `threshold` shares recover
 the message; any `wiretap` shares are statistically independent of it,
 because the key columns of every such row subset have full row rank.
 
-The generator is the L x threshold Vandermonde matrix on the
-CosetCodeSpec nodes; columns 0..wiretap-1 multiply the key, the rest
-the message.  encode_blocks and decode_blocks run it on arrays of
-blocks, one block per row; one block is a one-row array.  The caller
-draws the keys (single_level draws one stream per run of blocks).
+The generator is the L x threshold Vandermonde matrix on the nodes
+1..L: encoder l evaluates at l, which is what a share file assumes.
+Columns 0..wiretap-1 multiply the key, the rest the message.
+encode_blocks and decode_blocks run it on arrays of blocks, one block
+per row; one block is a one-row array.  The caller draws the keys
+(single_level draws one stream per run of blocks).
 
 Decoding wants the message, never the key.  For a list of share ids,
 the first `threshold` of them fix the block: its coefficients are the
@@ -38,20 +39,20 @@ from .fields import (FieldSpec, array_matmul, lagrange_rows, symbol_dtype,
                      vandermonde_array)
 
 
-def default_nodes(field: FieldSpec, length: int) -> tuple[int, ...]:
-    """Evaluation points 1..L, one nonzero field element per encoder."""
+def check_encoder_count(field: FieldSpec, length: int) -> None:
+    """Encoder l evaluates at node l, so L encoders need L nonzero
+    elements of the field."""
     if length >= field.order:
         other = "gf256 or " if length < 256 else ""
         raise ParameterError(
             f"{field} supports at most {field.order - 1} encoders; "
             f"use {other}a prime above {length}")
-    return tuple(range(1, length + 1))
 
 
 @dataclass(frozen=True)
 class CosetCodeSpec:
     """Shape of one code: L outputs, `wiretap` tolerated taps, decode
-    from any `threshold` outputs.  Nodes default to 1..L.
+    from any `threshold` outputs.  Encoder l evaluates at node l.
 
     The same type describes a whole single-source problem and each
     block code its schedule runs; a block carries `wiretap` key symbols
@@ -61,23 +62,13 @@ class CosetCodeSpec:
     length: int
     wiretap: int
     threshold: int
-    nodes: tuple[int, ...] = ()
 
     def __post_init__(self):
         if not 1 <= self.wiretap < self.threshold <= self.length:
             raise ParameterError(
                 f"need 1 <= wiretap < threshold <= length, got "
                 f"({self.length}, {self.wiretap}, {self.threshold})")
-        if not self.nodes:
-            object.__setattr__(self, "nodes",
-                               default_nodes(self.field, self.length))
-        if len(self.nodes) != self.length:
-            raise ParameterError("need one node per encoder")
-        if len(set(self.nodes)) != self.length:
-            raise ParameterError("nodes must be distinct")
-        for v in self.nodes:
-            if not 0 <= v < self.field.order:
-                raise ParameterError(f"node {v} outside {self.field}")
+        check_encoder_count(self.field, self.length)
 
     @property
     def k(self) -> int:
@@ -91,7 +82,8 @@ class CosetCodeSpec:
 
 @lru_cache(maxsize=256)
 def _generator_array(spec: CosetCodeSpec) -> np.ndarray:
-    gen = vandermonde_array(spec.field, spec.nodes, spec.threshold).astype(
+    gen = vandermonde_array(spec.field, range(1, spec.length + 1),
+                            spec.threshold).astype(
         symbol_dtype(spec.field.order))
     gen.flags.writeable = False
     return gen
@@ -102,9 +94,8 @@ def _decode_solver(spec: CosetCodeSpec, ids: tuple[int, ...]) -> np.ndarray:
     """Transposed decode rows for ids: the message rows of the inverse of
     the first `threshold` ids' Vandermonde rows, then one prediction row
     per extra id, the Lagrange basis of the first ones at its node."""
-    nodes = [spec.nodes[i - 1] for i in ids]
     m = spec.threshold
-    rows = lagrange_rows(spec.field, nodes[:m], spec.k, nodes[m:]).T.astype(
+    rows = lagrange_rows(spec.field, ids[:m], spec.k, ids[m:]).T.astype(
         symbol_dtype(spec.field.order))
     rows.flags.writeable = False
     return rows
@@ -112,7 +103,8 @@ def _decode_solver(spec: CosetCodeSpec, ids: tuple[int, ...]) -> np.ndarray:
 
 def encode_blocks(spec: CosetCodeSpec, messages: np.ndarray,
                   keys: np.ndarray) -> np.ndarray:
-    """Vectorized encode: (n, msg) and (n, key) arrays to (n, L) shares.
+    """Vectorized encode: (n, msg) and (n, key) arrays to (n, L) shares,
+    column l - 1 for encoder l.
 
     The key and message columns go to the kernel as they lie.  The
     result is a transposed view: column l is a contiguous array.

@@ -9,10 +9,6 @@ class ParameterError(SmdcError, ValueError):
     """A call was made with parameters outside the documented domain."""
 
 
-class SingularMatrixError(SmdcError, ArithmeticError):
-    """A linear system has no unique solution."""
-
-
 class RegionViolationError(SmdcError):
     """A rate tuple falls outside the admissible region.
 
@@ -24,10 +20,6 @@ class RegionViolationError(SmdcError):
         super().__init__(message)
         self.subset = subset
         self.rates = rates
-
-
-class InfeasibleCornerError(SmdcError):
-    """A requested zero-set is too large to leave a working code."""
 
 
 class InsufficientSharesError(SmdcError):

@@ -3,9 +3,8 @@
 Two kinds of field are supported: prime fields GF(p) with p <= 2^16, and
 the 256-element binary field GF(2^8) built from a degree-8 reduction
 polynomial (given as a 9-bit mask, default 0x11B).  Scalar arithmetic on
-plain ints goes through :class:`FieldSpec`; the scalar linear algebra
-(`solve_linear_int`, `matrix_rank`) is kept as a reference for tests, and
-all bulk block math uses the numpy helpers at the bottom of the module.
+plain ints goes through :class:`FieldSpec`, and all bulk block math uses
+the numpy helpers at the bottom of the module.
 The block kernel `array_matmul` reduces GF(p) sums by floor division,
 x - (x // p) p: numpy divides 8- to 32-bit words by a scalar as a
 vectorized multiply and shift, but takes x % p one division per entry.
@@ -19,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, SingularMatrixError
+from .errors import ParameterError
 
 PRIME = "prime"
 BINARY8 = "binary8"
@@ -209,64 +208,6 @@ def binary8_field(poly: int = DEFAULT_BINARY8_POLY) -> FieldSpec:
 GF5 = prime_field(5)
 GF7 = prime_field(7)
 GF256 = binary8_field()
-
-
-def solve_linear_int(spec: FieldSpec, a: Sequence[Sequence[int]],
-                     y: Sequence[int]) -> list[int]:
-    """Solve the square system a.x = y over the field, on plain ints.
-
-    Raises SingularMatrixError when the matrix has no inverse.
-    """
-    n = len(a)
-    if n == 0:
-        return []
-    if any(len(row) != n for row in a) or len(y) != n:
-        raise ParameterError("solve_linear expects a square system")
-    # augmented Gaussian elimination with partial (first nonzero) pivoting
-    m = [list(row) + [yv] for row, yv in zip(a, y)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            raise SingularMatrixError(f"matrix is singular at column {col}")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = spec.inv(m[col][col])
-        m[col] = [spec.mul(inv, v) for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [spec.sub(v, spec.mul(f, w)) for v, w in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
-
-
-def matrix_rank(spec: FieldSpec, a: Sequence[Sequence[int]]) -> int:
-    """Row rank of an arbitrary matrix over the field."""
-    m = [list(row) for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = spec.inv(m[rank][col])
-        m[rank] = [spec.mul(inv, v) for v in m[rank]]
-        for r in range(rows):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [spec.sub(v, spec.mul(f, w)) for v, w in zip(m[r], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
 
 
 def vandermonde_array(spec: FieldSpec, nodes: Sequence[int], width: int) -> np.ndarray:

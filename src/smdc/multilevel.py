@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .coset import CosetCodeSpec, default_nodes
+from .coset import CosetCodeSpec, check_encoder_count
 from .errors import InsufficientSharesError, ParameterError
 from .fields import FieldSpec
 from .randomness import as_symbol_source
@@ -41,7 +41,6 @@ class SmdcParams:
     length: int
     wiretap: int
     source_lengths: tuple[int, ...]
-    nodes: tuple[int, ...] = ()
 
     def __post_init__(self):
         if not 1 <= self.wiretap < self.length:
@@ -56,9 +55,7 @@ class SmdcParams:
                 f"got {len(self.source_lengths)}")
         if any(v < 0 for v in self.source_lengths):
             raise ParameterError("source lengths cannot be negative")
-        if not self.nodes:
-            object.__setattr__(self, "nodes",
-                               default_nodes(self.field, self.length))
+        check_encoder_count(self.field, self.length)
 
     @property
     def source_count(self) -> int:
@@ -68,7 +65,7 @@ class SmdcParams:
         if not 1 <= k <= self.source_count:
             raise ParameterError(f"no source level {k}")
         return CosetCodeSpec(self.field, self.length, self.wiretap,
-                          self.wiretap + k, self.nodes)
+                             self.wiretap + k)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ Yeung and Zhang, IEEE Trans. IT 45(2), 1999, for the non-secure case).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,7 +27,8 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParameterError
-from .exactlp import LpResult, solve_lp
+# bound only so that perfbench/spans.py can trace it; no runtime caller
+from .exactlp import solve_lp  # noqa: F401
 
 _ZERO = Fraction(0)
 
@@ -121,9 +121,6 @@ class LinExpr:
     def provably_le(self, other) -> bool:
         return (LinExpr.coerce(other) - self).provably_nonneg()
 
-    def provably_positive(self) -> bool:
-        return self.const > 0 and all(c >= 0 for _, c in self.terms)
-
     def sort_key(self):
         return (self.const, self.terms)
 
@@ -164,10 +161,6 @@ class Inequality:
     @property
     def is_vacuous(self) -> bool:
         return all(c == 0 for c in self.coeffs) and self.bound.provably_le(0)
-
-    @property
-    def is_impossible(self) -> bool:
-        return all(c == 0 for c in self.coeffs) and self.bound.provably_positive()
 
     def satisfied_by(self, point: Sequence, params: Mapping | None = None) -> bool:
         lhs = sum((c * _frac(x) for c, x in zip(self.coeffs, point)), _ZERO)
@@ -247,10 +240,6 @@ class InequalitySystem:
         kept.sort(key=Inequality.sort_key)
         return InequalitySystem(self.var_names, tuple(kept))
 
-    @property
-    def is_trivially_infeasible(self) -> bool:
-        return any(r.is_impossible for r in self.rows)
-
     def contains(self, point: Sequence, params: Mapping | None = None) -> bool:
         return not self.violated_rows(point, params)
 
@@ -263,36 +252,6 @@ class InequalitySystem:
         rows = [Inequality(r.coeffs, LinExpr.constant(r.bound.evaluate(params)))
                 for r in self.rows]
         return InequalitySystem(self.var_names, tuple(rows))
-
-    def lp_minimum(self, objective: Sequence, params: Mapping | None = None) -> LpResult:
-        """Exact LP: minimize objective . x over this system plus x >= 0."""
-        a_ge = [list(r.coeffs) for r in self.rows]
-        b_ge = [r.bound.evaluate(params or {}) for r in self.rows]
-        for i in range(self.dim):
-            row = [_ZERO] * self.dim
-            row[i] = Fraction(1)
-            a_ge.append(row)
-            b_ge.append(_ZERO)
-        return solve_lp([_frac(v) for v in objective], a_ge=a_ge, b_ge=b_ge)
-
-    def zero_slice(self, var) -> "InequalitySystem":
-        """Substitute variable = 0 and drop its column."""
-        j = self._var_index(var)
-        names = self.var_names[:j] + self.var_names[j + 1:]
-        rows = [Inequality(r.coeffs[:j] + r.coeffs[j + 1:], r.bound)
-                for r in self.rows]
-        return InequalitySystem(names, tuple(rows)).canonical()
-
-    def _var_index(self, var) -> int:
-        if isinstance(var, str):
-            try:
-                return self.var_names.index(var)
-            except ValueError:
-                raise ParameterError(f"no variable named {var!r}") from None
-        j = int(var)
-        if not 0 <= j < self.dim:
-            raise ParameterError(f"variable index {j} out of range")
-        return j
 
     def render(self) -> str:
         return "\n".join(r.render(self.var_names) for r in self.rows)
@@ -315,9 +274,6 @@ class InequalitySystem:
             ],
         }
 
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
-
     @staticmethod
     def from_json_dict(data: dict) -> "InequalitySystem":
         def frac(v):
@@ -329,10 +285,6 @@ class InequalitySystem:
                                  {n: frac(c) for n, c in row["bound"]["terms"].items()})
             rows.append(Inequality(tuple(frac(c) for c in row["coeffs"]), bound))
         return InequalitySystem.make(data["variables"], rows)
-
-    @staticmethod
-    def from_json(text: str) -> "InequalitySystem":
-        return InequalitySystem.from_json_dict(json.loads(text))
 
 
 # --- single-code regions ------------------------------------------------------

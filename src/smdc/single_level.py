@@ -12,15 +12,17 @@ The usable capacity of the whole schedule equals the sum of the k
 smallest budgets, so every rate tuple inside the admissible region
 schedules successfully, and nothing outside it does.
 
-A layout fixes the rates once (symmetric_layout, corner_layout or
-rate_layout) and keeps only the schedule they produce: its runs, message
-length and, from them, the padding, key count and per-encoder output.
-encode_with_layout and decode run a layout on symbol arrays.
+A layout fixes the rates once (symmetric_layout or rate_layout) and
+keeps only the schedule they produce: its runs, message length and, from
+them, the padding, key count and per-encoder output.  encode_with_layout
+and decode run a layout on symbol arrays.  A run's blocks use the block
+code of `params` at threshold wiretap + size, so encoder l evaluates at
+node l in every run it takes part in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import ceil
@@ -30,7 +32,6 @@ import numpy as np
 
 from .coset import CosetCodeSpec, decode_blocks, encode_blocks
 from .errors import (
-    InfeasibleCornerError,
     InsufficientSharesError,
     ParameterError,
     RegionViolationError,
@@ -50,14 +51,6 @@ class BlockRun:
     active: tuple[int, ...]
     size: int
     count: int
-
-
-def _run_spec(params: CosetCodeSpec, run: BlockRun) -> CosetCodeSpec:
-    """The block code of one run: its active encoders' nodes, `size`
-    message symbols per block."""
-    nodes = tuple(params.nodes[l - 1] for l in run.active)
-    return CosetCodeSpec(params.field, len(run.active), params.wiretap,
-                         params.wiretap + run.size, nodes)
 
 
 @dataclass(frozen=True)
@@ -190,23 +183,6 @@ def symmetric_layout(params: CosetCodeSpec,
     return BundleLayout(params, (run,) if blocks else (), message_symbols)
 
 
-def corner_layout(params: CosetCodeSpec, message_symbols: int,
-                  zeros: Sequence[int]) -> BundleLayout:
-    """Layout for a corner of the region: the encoders in `zeros` stay
-    silent, the rest share the message evenly."""
-    z = tuple(sorted(set(int(l) for l in zeros)))
-    for l in z:
-        if not 1 <= l <= params.length:
-            raise ParameterError(f"encoder {l} out of range")
-    if len(z) > params.k - 1:
-        raise InfeasibleCornerError(
-            f"at most {params.k - 1} encoders may be silent, got {len(z)}")
-    share = Fraction(1, params.k - len(z))
-    rates = tuple(Fraction(0) if l in z else share
-                  for l in range(1, params.length + 1))
-    return rate_layout(params, message_symbols, rates)
-
-
 def encode_with_layout(layout: BundleLayout, message, source=None
                        ) -> SsdcShareBundle:
     """Encode a message along its layout; payloads are symbol arrays.
@@ -234,15 +210,15 @@ def encode_with_layout(layout: BundleLayout, message, source=None
         l: [] for l in range(1, params.length + 1)}
     offset = 0
     for run in layout.runs:
-        spec = _run_spec(params, run)
+        spec = replace(params, threshold=params.wiretap + run.size)
         take = run.count * run.size
         blocks = msg[..., offset:offset + take].reshape(-1, run.size)
         keys = np.asarray(
             src.draw(field.order, len(blocks) * params.wiretap),
             dtype=dtype).reshape(-1, params.wiretap)
         shares = encode_blocks(spec, blocks, keys)
-        for pos, l in enumerate(run.active):
-            parts[l].append(shares[:, pos].reshape(batch + (run.count,)))
+        for l in run.active:
+            parts[l].append(shares[:, l - 1].reshape(batch + (run.count,)))
         offset += take
     return SsdcShareBundle(layout, {
         l: np.concatenate(p, axis=-1) if p
@@ -284,15 +260,14 @@ def decode(layout: BundleLayout, observed: Mapping[int, Sequence[int]]
     offsets = dict.fromkeys(present, 0)
     out = [np.zeros(batch + (0,), dtype=symbol_dtype(params.field.order))]
     for run in layout.runs:
-        spec = _run_spec(params, run)
+        spec = replace(params, threshold=params.wiretap + run.size)
         avail = [l for l in run.active if l in payloads]
-        local_ids = tuple(run.active.index(l) + 1 for l in avail)
         # stacked first and moved last, so that one unbatched payload's
         # column stays contiguous for the block kernel
         cols = np.moveaxis(np.stack(
             [payloads[l][..., offsets[l]:offsets[l] + run.count]
              for l in avail]), 0, -1)
-        blocks = decode_blocks(spec, local_ids, cols.reshape(-1, len(avail)))
+        blocks = decode_blocks(spec, avail, cols.reshape(-1, len(avail)))
         out.append(blocks.reshape(batch + (-1,)))
         for l in avail:
             offsets[l] += run.count

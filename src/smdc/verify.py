@@ -92,11 +92,6 @@ class ExactLogSum:
     def __neg__(self) -> "ExactLogSum":
         return ExactLogSum(tuple((p, -c) for p, c in self.coeffs))
 
-    def scaled(self, w: Fraction) -> "ExactLogSum":
-        if w == 0:
-            return ExactLogSum()
-        return ExactLogSum(tuple((p, c * w) for p, c in self.coeffs))
-
     def to_float(self) -> float:
         return sum(float(c) * log2(p) for p, c in self.coeffs)
 
@@ -558,44 +553,6 @@ def code_for_multilevel(layout: multilevel.SmdcLayout) -> CodeUnderTest:
         encode_fn=encode_fn, decode_fn=decode_fn,
         expected_sources=lambda size: max(
             0, min(size - params.wiretap, params.source_count)))
-
-
-def product_code(code: CodeUnderTest, copies: int) -> CodeUnderTest:
-    """Several independent uses of one code, keys drawn separately.
-
-    Shares of each encoder are the concatenation across uses; sources
-    are repeated per use.  Used to confirm that secrecy composes.
-    """
-    if copies < 1:
-        raise ParameterError("need at least one copy")
-    n_src = len(code.source_symbols)
-    per_key = code.key_symbols
-
-    def encode_fn(sources: tuple, keys: np.ndarray) -> tuple:
-        uses = [code.encode_fn(sources[i * n_src:(i + 1) * n_src],
-                               keys[:, i * per_key:(i + 1) * per_key])
-                for i in range(copies)]
-        return tuple(zip(*uses))
-
-    def decode_fn(observed: dict) -> tuple:
-        out = []
-        for i in range(copies):
-            got = code.decode_fn({l: sh[i] for l, sh in observed.items()})
-            if len(got) != n_src:
-                return ()
-            out.extend(got)
-        return tuple(out)
-
-    def expected(size: int) -> int:
-        per = code.expected_sources(size)
-        return copies * n_src if per == n_src else 0
-
-    return CodeUnderTest(
-        q=code.q, length=code.length, wiretap=code.wiretap,
-        source_symbols=code.source_symbols * copies,
-        key_symbols=per_key * copies,
-        encode_fn=encode_fn, decode_fn=decode_fn,
-        expected_sources=expected)
 
 
 # --- whole-code reports -----------------------------------------------------------

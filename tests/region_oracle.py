@@ -1,4 +1,8 @@
-"""Reference constructions for the combined rate region, used only by tests.
+"""Reference constructions for rate regions, used only by tests.
+
+The exact LP minimum, the zero slice and the infeasibility test below
+check `smdc.region`'s closed forms (the minimum sum rate, the one-level
+regions) against the inequality systems they describe.
 
 The layered scheme gives every level k its own rate vector inside
 region(L, k, H_k), and the encoder totals are their sum.  Projecting the
@@ -13,13 +17,60 @@ spanning set of swaps, and eliminate over Fractions.
 
 from fractions import Fraction
 from itertools import accumulate, combinations, groupby, permutations, product
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from smdc.errors import ParameterError, SmdcError
-from smdc.region import (Inequality, InequalitySystem, LinExpr, _level_support,
-                         rate_var_names)
+from smdc.exactlp import LpResult, solve_lp
+from smdc.region import (Inequality, InequalitySystem, LinExpr, _frac,
+                         _level_support, rate_var_names)
 
 _ZERO = Fraction(0)
+
+
+def lp_minimum(system: InequalitySystem, objective: Sequence,
+               params: Mapping | None = None) -> LpResult:
+    """Exact LP: minimize objective . x over the system plus x >= 0."""
+    a_ge = [list(r.coeffs) for r in system.rows]
+    b_ge = [r.bound.evaluate(params or {}) for r in system.rows]
+    for i in range(system.dim):
+        row = [_ZERO] * system.dim
+        row[i] = Fraction(1)
+        a_ge.append(row)
+        b_ge.append(_ZERO)
+    return solve_lp([_frac(v) for v in objective], a_ge=a_ge, b_ge=b_ge)
+
+
+def var_index(system: InequalitySystem, var) -> int:
+    """Position of a variable given by name or by 0-based index."""
+    if isinstance(var, str):
+        try:
+            return system.var_names.index(var)
+        except ValueError:
+            raise ParameterError(f"no variable named {var!r}") from None
+    j = int(var)
+    if not 0 <= j < system.dim:
+        raise ParameterError(f"variable index {j} out of range")
+    return j
+
+
+def zero_slice(system: InequalitySystem, var) -> InequalitySystem:
+    """Substitute variable = 0 and drop its column."""
+    j = var_index(system, var)
+    names = system.var_names[:j] + system.var_names[j + 1:]
+    rows = [Inequality(r.coeffs[:j] + r.coeffs[j + 1:], r.bound)
+            for r in system.rows]
+    return InequalitySystem(names, tuple(rows)).canonical()
+
+
+def is_impossible(row: Inequality) -> bool:
+    """0 >= bound with a bound that is positive for every entropy."""
+    bound = row.bound
+    return (all(c == 0 for c in row.coeffs) and bound.const > 0
+            and all(c >= 0 for _, c in bound.terms))
+
+
+def is_trivially_infeasible(system: InequalitySystem) -> bool:
+    return any(is_impossible(r) for r in system.rows)
 
 
 class RowBudgetError(SmdcError):
@@ -36,7 +87,7 @@ def fm_eliminate(system: InequalitySystem, targets: Sequence,
     """
     current = system.canonical()
     for target in targets:
-        j = current._var_index(target)
+        j = var_index(current, target)
         pos, neg, rest = [], [], []
         for r in current.rows:
             c = r.coeffs[j]

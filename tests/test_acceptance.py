@@ -11,7 +11,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from time import monotonic
 
-from region_oracle import superposition_extended_system
+from region_oracle import (is_trivially_infeasible, lp_minimum,
+                           superposition_extended_system, zero_slice)
 from smdc.cli import EXIT_INFEASIBLE, EXIT_OK, entry
 from smdc.coset import CosetCodeSpec
 from smdc.errors import RegionViolationError
@@ -157,7 +158,7 @@ def test_criterion_2_min_sum_rate_formula_equals_lp(criterion_report):
                     got = min_sum_rate(length, k, entropy)
                     if got != want:
                         failures.append(f"formula ({length},{k},{entropy})")
-                    res = region(length, k, entropy).lp_minimum([1] * length)
+                    res = lp_minimum(region(length, k, entropy), [1] * length)
                     if res.status != OPTIMAL or res.objective != want:
                         failures.append(f"lp ({length},{k},{entropy})")
                     checked += 1
@@ -180,12 +181,13 @@ def test_criterion_3_corners_and_slices(criterion_report):
                         failures.append(f"corners ({length},{k},{entropy})")
                     shapes += 1
                     if k >= 2:
-                        sliced = sys_.zero_slice(f"R{length}")
+                        sliced = zero_slice(sys_, f"R{length}")
                         smaller = region(length - 1, k - 1, entropy).canonical()
                         if sliced.rows != smaller.rows:
                             failures.append(f"slice ({length},{k},{entropy})")
             for var in rate_var_names(3):
-                if not region(3, 1, entropy).zero_slice(var).is_trivially_infeasible:
+                if not is_trivially_infeasible(
+                        zero_slice(region(3, 1, entropy), var)):
                     failures.append(f"slice of (3,1,{entropy}) at {var} "
                                     f"should be infeasible")
         return f"{shapes} corner sets match brute force, slices check out", failures
@@ -239,7 +241,7 @@ def test_criterion_5_multilevel_sum_rate(criterion_report):
                 if smdc_min_sum_rate(length, wiretap, hs) != want:
                     failures.append(f"formula ({length},{wiretap})")
                 ext = superposition_extended_system(length, wiretap, hs)
-                res = ext.lp_minimum([1] * length + [0] * (ext.dim - length))
+                res = lp_minimum(ext, [1] * length + [0] * (ext.dim - length))
                 if res.status != OPTIMAL or res.objective != want:
                     failures.append(f"lp ({length},{wiretap}) got {res.objective}")
                 lp_checked += 1
@@ -269,7 +271,7 @@ def test_criterion_5_multilevel_sum_rate(criterion_report):
             h1 = F(rng.randrange(1, 9), rng.randrange(1, 5))
             h2 = F(rng.randrange(1, 9), rng.randrange(1, 5))
             projected = superposition_region(3, 1, [h1, h2])
-            res = projected.lp_minimum([1, 1, 1])
+            res = lp_minimum(projected, [1, 1, 1])
             if res.objective != 3 * h1 + F(3, 2) * h2:
                 failures.append(f"projected lp at ({h1},{h2})")
         return (f"{lp_checked} shapes: formula == LP == measured encoding",

@@ -326,6 +326,26 @@ def test_wn_rejects_an_unreadable_entropy(capsys, entropy):
     assert captured.out == ""
 
 
+def test_wn_refuses_a_negative_entropy_as_region_does(capsys):
+    argv = ["--L", "3", "--N", "1", "--m", "2", "--rates", "1,1,1"]
+    for command, flag in (("wn", "--entropy=-1"), ("region", "--entropies=-1")):
+        assert entry([command, *argv, flag]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "error: entropies must be nonnegative\n"
+        assert captured.out == ""
+
+
+def test_flags_of_one_command_do_not_reach_the_next(capsys):
+    # entry builds its parser once per process and parses every command
+    # with it
+    argv = ["wn", "--L", "3", "--N", "1", "--m", "2", "--rates", "1,1,1"]
+    assert entry([*argv, "--edges", "--entropy", "1"]) == EXIT_OK
+    assert "edges" in json.loads(capsys.readouterr().out)
+    assert entry(argv) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert "edges" not in report and "supports_entropy" not in report
+
+
 def test_verify_command(capsys):
     assert entry(["verify", "--length", "3", "--wiretap", "1",
                   "--source-lengths", "1,1"]) == EXIT_OK

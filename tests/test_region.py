@@ -1,6 +1,7 @@
 """Rate-region tests: frozen geometry, the combined region against its
 Fourier-Motzkin projection, LP cross-checks."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -9,9 +10,10 @@ import pytest
 
 from region_oracle import (RowBudgetError, chamber_rays_by_subsets,
                            exposed_face_rank_by_arrangements, fm_eliminate,
-                           fm_superposition_region, rank_by_fractions,
+                           fm_superposition_region, is_impossible,
+                           is_trivially_infeasible, lp_minimum, rank_by_fractions,
                            superposition_extended_system,
-                           tight_rows_by_arrangements)
+                           tight_rows_by_arrangements, zero_slice)
 from smdc.errors import ParameterError
 from smdc.exactlp import OPTIMAL, solve_lp
 from smdc.region import (
@@ -52,8 +54,9 @@ def test_linexpr_order_certificates():
     assert h2.provably_le(h1 + h2)
     assert LinExpr.constant(0).provably_le(h1)
     assert not (h1 + h2).provably_le(2 * h1)  # H2 > 2 H1 is possible
-    assert (h1 + 1).provably_positive()
-    assert not h1.provably_positive()  # entropy zero is allowed
+    # 0 >= H1 + 1 fails for every entropy, 0 >= H1 not at H1 = 0
+    assert is_impossible(Inequality.make([0], h1 + 1))
+    assert not is_impossible(Inequality.make([0], h1))
 
 
 def test_linexpr_rejects_floats():
@@ -88,7 +91,7 @@ def test_region_symbolic_membership():
 
 def test_min_sum_rate_formula_and_lp_agree():
     for length, k, h in ((3, 2, F(5, 4)), (6, 4, 1), (4, 1, F(2, 7))):
-        res = region(length, k, h).lp_minimum([1] * length)
+        res = lp_minimum(region(length, k, h), [1] * length)
         assert res.status == OPTIMAL
         assert min_sum_rate(length, k, h) == res.objective
     assert min_sum_rate(3, 2, F(5, 4)) == F(3, 2) * F(5, 4)
@@ -170,19 +173,19 @@ def test_zero_slice_is_one_smaller_region(length, k):
     big = region(length, k, h)
     small = region(length - 1, k - 1, h).canonical()
     for var in big.var_names:
-        assert big.zero_slice(var).rows == small.rows
+        assert zero_slice(big, var).rows == small.rows
 
 
 def test_zero_slice_of_threshold_one_region_is_infeasible():
-    sliced = region(3, 1, 1).zero_slice("R2")
-    assert sliced.is_trivially_infeasible
+    sliced = zero_slice(region(3, 1, 1), "R2")
+    assert is_trivially_infeasible(sliced)
 
 
 def test_zero_slice_symbolic_keeps_condition_row():
-    sliced = region(3, 1, "H").zero_slice("R1")
+    sliced = zero_slice(region(3, 1, "H"), "R1")
     # 0 >= H survives as a condition; it is not provably impossible since
     # H = 0 satisfies it
-    assert not sliced.is_trivially_infeasible
+    assert not is_trivially_infeasible(sliced)
     assert any(not r.coeffs or all(c == 0 for c in r.coeffs) for r in sliced.rows)
 
 
@@ -253,7 +256,7 @@ def test_smdc_min_sum_rate_matches_extended_lp(length, n):
     hs = [F(2 * k + 1, k + 2) for k in range(1, k_count + 1)]
     ext = superposition_extended_system(length, n, hs)
     objective = [1] * length + [0] * (ext.dim - length)
-    res = ext.lp_minimum(objective)
+    res = lp_minimum(ext, objective)
     assert res.status == OPTIMAL
     assert res.objective == smdc_min_sum_rate(length, n, hs)
 
@@ -267,10 +270,13 @@ def test_smdc_min_sum_rate_symbolic():
 
 def test_json_round_trip():
     sys_ = superposition_region(3, 1)
-    back = InequalitySystem.from_json(sys_.to_json())
-    assert back == sys_
+    def round_trip(system):
+        text = json.dumps(system.to_json_dict())
+        return InequalitySystem.from_json_dict(json.loads(text))
+
+    assert round_trip(sys_) == sys_
     num = region(4, 2, F(7, 5)).canonical()
-    assert InequalitySystem.from_json(num.to_json()) == num
+    assert round_trip(num) == num
 
 
 # --- the combined region against Fourier-Motzkin ---------------------------------

@@ -9,7 +9,6 @@ import pytest
 
 from smdc.errors import (
     DecodeFailureError,
-    InfeasibleCornerError,
     InsufficientSharesError,
     ParameterError,
     RegionViolationError,
@@ -19,7 +18,6 @@ from smdc.fields import binary8_field, prime_field
 from smdc.randomness import SequenceSymbolSource
 from smdc.single_level import (
     BlockRun,
-    corner_layout,
     decode,
     encode_with_layout,
     rate_layout,
@@ -76,6 +74,30 @@ def test_uneven_rate_schedule_shape():
     assert layout.padding == 0
     assert layout.emitted(2) == 1
     assert layout.emitted(1) == 3
+
+
+def test_uneven_runs_evaluate_at_encoder_ids():
+    # encoder l evaluates every block at node l, also in a run that
+    # leaves encoder 2 out: share l of a block is sum_j x_j * l^j over
+    # x = (key, message), which is what a share file assumes
+    params = CosetCodeSpec(GF5, length=4, wiretap=1, threshold=3)
+    layout = rate_layout(params, 4, (1, F(1, 4), F(3, 4), 1))
+    assert [run.active for run in layout.runs] == [(1, 2, 3, 4), (1, 3, 4)]
+    msg, keys = [3, 1, 4, 2], [2, 0, 3]
+    bundle = encode_with_layout(layout, msg, SequenceSymbolSource(keys))
+    want = {l: [] for l in range(1, 5)}
+    offset = block = 0
+    for run in layout.runs:
+        for _ in range(run.count):
+            x = [keys[block]] + msg[offset:offset + run.size]
+            for l in run.active:
+                acc = 0
+                for j, v in enumerate(x):
+                    acc = GF5.add(acc, GF5.mul(v, GF5.pow(l, j)))
+                want[l].append(acc)
+            offset += run.size
+            block += 1
+    assert {l: p.tolist() for l, p in bundle.payloads.items()} == want
 
 
 def test_rate_layout_rejects_outside_region_with_witness():
@@ -152,29 +174,23 @@ def test_rate_accounting_within_block_slack(shape, rates):
         assert layout.padded_symbols <= sum(budgets[:k])
 
 
-def test_corner_layout_and_infeasible_corner():
+def test_corner_layout_matches_rate_path():
+    # a corner of the region is rate_layout at corner rates: the encoders
+    # at rate 0 stay silent and the rest share the message evenly
     params = CosetCodeSpec(GF5, length=3, wiretap=1, threshold=3)  # k = 2
-    layout = corner_layout(params, 3, zeros=(2,))
+    layout = rate_layout(params, 3, (1, 0, 1))
     assert layout.emitted(2) == 0
     assert layout.runs == (BlockRun((1, 3), 1, 3),)
     msg = [2, 0, 4]
     bundle = encode_with_layout(layout, msg, source=3)
     assert decode(layout, {l: bundle.payloads[l] for l in (1, 2, 3)}
                   ).tolist() == msg
-    with pytest.raises(InfeasibleCornerError):
-        corner_layout(params, 3, zeros=(1, 2))
-
-
-def test_corner_layout_matches_rate_path():
     params = CosetCodeSpec(GF7, length=4, wiretap=1, threshold=4)  # k = 3
     for msg in ([1, 2, 3], [1, 2, 3, 4, 5]):
-        corner = corner_layout(params, len(msg), zeros=(3,))
         rated = rate_layout(params, len(msg), (F(1, 2), F(1, 2), 0, F(1, 2)))
-        assert corner == rated
-        a = encode_with_layout(corner, msg, source=42)
-        b = encode_with_layout(rated, msg, source=42)
-        assert all(np.array_equal(a.payloads[l], b.payloads[l])
-                   for l in range(1, 5))
+        assert rated.runs == (BlockRun((1, 2, 4), 2, ceil(len(msg) / 2)),)
+        bundle = encode_with_layout(rated, msg, source=42)
+        assert decoded(bundle) == msg
 
 
 def test_decode_insufficient_outputs_names_shortfall():

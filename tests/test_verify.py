@@ -29,7 +29,7 @@ from smdc.verify import (DENSE_SPAN, CodeUnderTest, ExactLogSum,
                          check_perfect_secrecy, check_prop2_inequality,
                          check_reconstruction, code_for_layout,
                          code_for_multilevel, conditional_entropy,
-                         enumerate_joint, product_code, source_entropy,
+                         enumerate_joint, source_entropy,
                          verification_report)
 
 GF3 = prime_field(3)
@@ -167,7 +167,7 @@ def test_entropies_on_hand_table():
     assert conditional_entropy(dist, ["S1"], ["X1", "X2"]).bits == 0.0
     # the share pair is uniform over 9 values
     pair = conditional_entropy(dist, ["X1", "X2"])
-    assert (pair.exact - ExactLogSum.of_log(3).scaled(Fraction(2))).sign() == 0
+    assert (pair.exact - ExactLogSum.of_log(3, Fraction(2))).sign() == 0
     assert source_entropy(dist, 1) == ExactLogSum.of_log(3)
 
 
@@ -224,7 +224,7 @@ def test_exact_log_sum_arithmetic_and_sign():
     assert ExactLogSum.of_log(6) - ExactLogSum.of_log(2) - ExactLogSum.of_log(3) == ExactLogSum()
     assert abs(ExactLogSum.of_log(8).to_float() - 3.0) <= 1e-15
     # log2(3) vs (3/2) log2(2): compare 3^2 against 2^3
-    tight = ExactLogSum.of_log(3) - ExactLogSum.of_log(2).scaled(Fraction(3, 2))
+    tight = ExactLogSum.of_log(3) - ExactLogSum.of_log(2, Fraction(3, 2))
     assert tight.sign() == 1
     assert (-tight).sign() == -1
     assert ExactLogSum().sign() == 0
@@ -504,6 +504,44 @@ def test_prop2_argument_validation():
         check_prop2_inequality(dist, 3, (1,), (2, 3))     # no third source
     with pytest.raises(ParameterError):
         check_prop2_inequality(dist, 1, (1,), (9,))       # unknown encoder
+
+
+def product_code(code: CodeUnderTest, copies: int) -> CodeUnderTest:
+    """Several independent uses of one code, keys drawn separately.
+
+    Shares of each encoder are the concatenation across uses; sources
+    are repeated per use.  Used to confirm that secrecy composes.
+    """
+    if copies < 1:
+        raise ParameterError("need at least one copy")
+    n_src = len(code.source_symbols)
+    per_key = code.key_symbols
+
+    def encode_fn(sources: tuple, keys: np.ndarray) -> tuple:
+        uses = [code.encode_fn(sources[i * n_src:(i + 1) * n_src],
+                               keys[:, i * per_key:(i + 1) * per_key])
+                for i in range(copies)]
+        return tuple(zip(*uses))
+
+    def decode_fn(observed: dict) -> tuple:
+        out = []
+        for i in range(copies):
+            got = code.decode_fn({l: sh[i] for l, sh in observed.items()})
+            if len(got) != n_src:
+                return ()
+            out.extend(got)
+        return tuple(out)
+
+    def expected(size: int) -> int:
+        per = code.expected_sources(size)
+        return copies * n_src if per == n_src else 0
+
+    return CodeUnderTest(
+        q=code.q, length=code.length, wiretap=code.wiretap,
+        source_symbols=code.source_symbols * copies,
+        key_symbols=per_key * copies,
+        encode_fn=encode_fn, decode_fn=decode_fn,
+        expected_sources=expected)
 
 
 def test_product_code_keeps_secrecy_across_uses():
