@@ -80,11 +80,12 @@ class CosetCodeSpec:
 # share subsets would otherwise keep every decode matrix it ever built.  256
 # entries hold one solver per source level of any L the container allows.
 
-@lru_cache(maxsize=256)
-def _generator_array(spec: CosetCodeSpec) -> np.ndarray:
-    gen = vandermonde_array(spec.field, range(1, spec.length + 1),
-                            spec.threshold).astype(
-        symbol_dtype(spec.field.order))
+@lru_cache(maxsize=16)
+def _vandermonde(field: FieldSpec, length: int) -> np.ndarray:
+    """The L x L Vandermonde matrix on the nodes 1..L; every level's
+    generator is its first `threshold` columns."""
+    gen = vandermonde_array(field, range(1, length + 1), length).astype(
+        symbol_dtype(field.order))
     gen.flags.writeable = False
     return gen
 
@@ -107,22 +108,27 @@ def encode_blocks(spec: CosetCodeSpec, messages: np.ndarray,
     column l - 1 for encoder l.
 
     The key and message columns go to the kernel as they lie.  The
-    result is a transposed view: column l is a contiguous array.
+    result is the kernel's: over GF(2^8) row-major, so column l is a
+    strided view, and over GF(p) a transposed view whose column l is a
+    contiguous array.
     """
     messages = np.asarray(messages)
     keys = np.asarray(keys)
     n = messages.shape[0]
     if messages.shape != (n, spec.k) or keys.shape != (n, spec.wiretap):
         raise ParameterError("block arrays have the wrong shape")
-    return array_matmul(spec.field, (*keys.T, *messages.T),
-                        _generator_array(spec).T)
+    gen = _vandermonde(spec.field, spec.length)[:, :spec.threshold]
+    return array_matmul(spec.field, (*keys.T, *messages.T), gen.T)
 
 
-def decode_blocks(spec: CosetCodeSpec, ids, shares: np.ndarray) -> np.ndarray:
-    """Vectorized decode of (n, len(ids)) share columns back to messages.
+def decode_blocks(spec: CosetCodeSpec, ids, *shares) -> np.ndarray:
+    """Vectorized decode of n blocks back to an (n, k) message array,
+    from one length-n column of share symbols per id.
 
-    Share ids are 1-based.  The first `threshold` columns are decoded,
-    and every column beyond them is predicted from the same ones, in the
+    Share ids are 1-based, and the columns go to the kernel as they lie:
+    views into the callers' payloads, or the columns of an (n, len(ids))
+    array, `*array.T`.  The first `threshold` columns are decoded, and
+    every column beyond them is predicted from the same ones, in the
     same kernel pass: a block whose extra shares differ from their
     predictions lies on no single codeword, and DecodeFailureError is
     raised.  The prediction rows are E.V^-1, so a block fails here
@@ -139,12 +145,14 @@ def decode_blocks(spec: CosetCodeSpec, ids, shares: np.ndarray) -> np.ndarray:
         raise InsufficientSharesError(
             f"decoding needs {spec.threshold} distinct shares, got {len(ids)}",
             needed=spec.threshold, have=len(ids))
-    shares = np.asarray(shares)
-    if shares.ndim != 2 or shares.shape[1] != len(ids):
-        raise ParameterError("share array does not match the id list")
+    shares = [np.asarray(c) for c in shares]
+    if len(shares) != len(ids) or any(
+            c.shape != shares[0].shape or c.ndim != 1 for c in shares):
+        raise ParameterError("share columns do not match the id list")
     m, k = spec.threshold, spec.k
-    out = array_matmul(spec.field, shares.T[:m], _decode_solver(spec, ids))
-    if not np.array_equal(out[:, k:], shares[:, m:]):
+    out = array_matmul(spec.field, shares[:m], _decode_solver(spec, ids))
+    if len(ids) > m and not np.array_equal(out[:, k:],
+                                           np.stack(shares[m:], axis=1)):
         raise DecodeFailureError(
             "shares are inconsistent with any single codeword")
     return out[:, :k]

@@ -7,7 +7,12 @@ plain ints goes through :class:`FieldSpec`, and all bulk block math uses
 the numpy helpers at the bottom of the module.
 The block kernel `array_matmul` reduces GF(p) sums by floor division,
 x - (x // p) p: numpy divides 8- to 32-bit words by a scalar as a
-vectorized multiply and shift, but takes x % p one division per entry.
+vectorized multiply and shift, but takes x % p one division per entry,
+and divides uint64 words one entry at a time too.  Over GF(2^8) it
+gathers each input symbol once, from a 256-entry table whose words pack
+the products for up to 8 outputs, one byte lane each (the split-table
+method of Plank, Greenan and Miller, FAST 2013, with the tables of all
+outputs packed side by side); a handful of rows is looked up directly.
 """
 
 from __future__ import annotations
@@ -353,47 +358,130 @@ def lagrange_rows(spec: FieldSpec, nodes: Sequence[int], top: int,
     return rows
 
 
+# The GF(2^8) kernel of array_matmul looks products up one by one below
+# this many rows, and through packed lane tables from it on.
+_DIRECT_ROWS = 128
+# Rows per pass of the packed-lane kernel: with up to 8 outputs, one
+# pass's index, lookup and accumulator buffers (at most 24 bytes a row)
+# stay within a 2 MiB L2 cache; wider rows take proportionally more.
+_LANE_CHUNK = 1 << 15
+_LANE_WORDS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
 def array_matmul(spec: FieldSpec, columns, b: np.ndarray) -> np.ndarray:
     """Exact field product of an (n, k) matrix, given as its k columns,
-    and a (k, m) matrix `b` of constants: an (n, m) array.
+    and a (k, m) matrix `b` of constants: an (n, m) array in the field's
+    symbol dtype.
 
     `columns` is a sequence of k length-n integer arrays, taken as they
-    lie: a (k, n) array, or strided column views of several arrays.  The
-    product is built as its (m, n) transpose, one inner index at a time.
-    A row of `b` that is all zeros adds nothing and one that is all ones
-    adds its column as it is.  Any other row, over GF(2^8), looks its
-    column up in the product-table rows of its constants (the
-    split-table method); over GF(p) it accumulates in the narrowest
-    unsigned dtype that holds the sum of products, and reduces the sum
-    once at the end by floor division, x - (x // p) p, in that same
-    dtype.  Returns an (n, m) view in the field's symbol dtype.
+    lie: a (k, n) array, or strided column views of several arrays.  A
+    row of `b` that is all zeros adds nothing.
+
+    Over GF(2^8) (see _binary8_matmul) the result is row-major, possibly
+    a view of rows padded to whole lane words.  Over GF(p) the product
+    is built as its (m, n) transpose, one inner index at a time, and the
+    result is a transposed view: column l is contiguous.  It accumulates
+    in the narrowest unsigned dtype that holds the sum of products, and
+    reduces the sum once at the end by floor division, x - (x // p) p,
+    in that same dtype.  Where that sum would need uint64, the running
+    sum is reduced after each product is added instead, so it stays in
+    uint32: numpy divides uint64 one entry at a time.  An all-ones row
+    adds its column as it is.
     """
     dtype = symbol_dtype(spec.order)
     b = np.asarray(b, dtype=np.int64)
     inner = len(columns)
     if inner == 0 or b.ndim != 2 or b.shape[0] != inner:
         raise ParameterError("array_matmul shapes do not align")
+    columns = [np.asarray(c).astype(dtype, copy=False) for c in columns]
+    if spec.kind == BINARY8:
+        return _binary8_matmul(spec.modulus, columns, b)
     n = len(columns[0])
-    zeros = ~b.any(axis=1)
-    ones = (b == 1).all(axis=1)
-    if spec.kind == PRIME:
-        p = spec.modulus
-        wide = symbol_dtype((p - 1) ** 2 * inner + 1)
-        acc = np.zeros((b.shape[1], n), dtype=wide)
-    else:
-        table = _binary8_mul_table(spec.modulus)
-        acc = np.zeros((b.shape[1], n), dtype=dtype)
-    for column, row, zero, one in zip(columns, b, zeros, ones):
+    p = spec.modulus
+    wide = symbol_dtype((p - 1) ** 2 * inner + 1)
+    fold = wide == np.uint64
+    if fold:  # p - 1 + (p - 1)^2 = p (p - 1) < 2^32
+        wide = np.uint32
+    acc = np.zeros((b.shape[1], n), dtype=wide)
+    for column, row, zero, one in zip(columns, b, ~b.any(axis=1),
+                                      (b == 1).all(axis=1)):
         if zero:
             continue
-        column = np.asarray(column).astype(dtype, copy=False)
-        if spec.kind == PRIME:
-            acc += column if one else row.astype(wide)[:, None] * column
-        elif one:
-            acc ^= column
-        else:
-            acc ^= np.take(table[row], column, axis=1)
-    if spec.kind == PRIME:
+        acc += column if one else row.astype(wide)[:, None] * column
+        if fold:
+            acc -= acc // p * p
+    if not fold:
         acc -= acc // p * p  # not %: see the module docstring
-        acc = acc.astype(dtype, copy=False)
-    return acc.T
+    return acc.astype(dtype, copy=False).T
+
+
+def _binary8_matmul(poly: int, columns: list, b: np.ndarray) -> np.ndarray:
+    """array_matmul over GF(2^8), on uint8 columns: one table gather per
+    input symbol.
+
+    Below _DIRECT_ROWS rows every product is looked up on its own in the
+    product table, n.k.m entries, and XOR-reduced.  From there on, each
+    inner index j gets a 256-entry lane table whose entry x packs the
+    products x.b[j, l] of all m outputs, one byte lane each, in uint8,
+    uint16, uint32 or uint64 words (groups of 8 outputs past 8).  One
+    gather of column j into that table then yields all m products of a
+    row, XORed into an (n, width) uint8 accumulator viewed as words.
+    The tables cost 256.k.m entries, as many as n = 256 direct lookups;
+    measured, the two cost the same near 130-180 rows for k.m up to 20,
+    90-120 rows for k.m near 100 and 50-90 rows for k.m in the
+    thousands, and 128 lies between (2-vCPU Xeon, numpy 2.4).  The lane
+    kernel runs in passes of _LANE_CHUNK rows, gathering into reused
+    buffers; an all-ones row of `b` multiplies its column by 0x0101..
+    instead of gathering it.  The result is a row-major (n, m) view of
+    the accumulator, whose rows are padded to whole words.
+    """
+    table = _binary8_mul_table(poly)
+    inner, m = b.shape
+    n = len(columns[0])
+    if n < _DIRECT_ROWS:
+        rows = np.stack(columns, axis=1)
+        return np.bitwise_xor.reduce(
+            table.ravel()[(b << 8) + rows[:, :, None]], axis=1)
+    nonzero = b.any(axis=1)
+    ones = nonzero & (b == 1).all(axis=1)
+    look = np.flatnonzero(nonzero & ~ones)
+    terms = [*look, *np.flatnonzero(ones)]
+    if not terms:
+        return np.zeros((n, m), dtype=np.uint8)
+    word, width, words, unit = _lane_layout(m)
+    tables = np.zeros((len(look), 256, width), dtype=np.uint8)
+    tables[:, :, :m] = table[b[look]].transpose(0, 2, 1)
+    tables = tables.view(word).reshape(len(look), 256, *words)
+    out = np.empty((n, width), dtype=np.uint8)
+    acc = out.view(word).reshape(n, *words)
+    index = np.empty(min(n, _LANE_CHUNK), dtype=np.intp)
+    looked = np.empty((len(index), *words), dtype=word)
+    for start in range(0, n, _LANE_CHUNK):
+        part = slice(start, start + _LANE_CHUNK)
+        into = acc[part]
+        at, spare = index[:len(into)], looked[:len(into)]
+        for t, j in enumerate(terms):
+            dest = spare if t else into
+            if t < len(look):
+                at[...] = columns[j][part]
+                tables[t].take(at, axis=0, out=dest, mode="clip")
+            else:
+                np.multiply.outer(columns[j][part], unit, out=dest)
+            if t:
+                into ^= dest
+    return out[:, :m]
+
+
+@lru_cache(maxsize=256)
+def _lane_layout(m: int) -> tuple[type, int, tuple[int, ...], np.ndarray]:
+    """How m outputs pack into lane words: the word dtype, the row width
+    in bytes (whole words), the shape of one row's words (() for one
+    word), and the word(s) holding a 1 in each of the m lanes."""
+    lanes = 1 << (m - 1).bit_length() if m <= 8 else 8
+    width = -(-m // lanes) * lanes
+    words = (width // lanes,) if width > lanes else ()
+    unit = np.zeros(width, dtype=np.uint8)
+    unit[:m] = 1
+    unit = unit.view(_LANE_WORDS[lanes]).reshape(words)
+    unit.flags.writeable = False
+    return _LANE_WORDS[lanes], width, words, unit

@@ -258,18 +258,20 @@ def decode(layout: BundleLayout, observed: Mapping[int, Sequence[int]]
                 f"layout says {layout.emitted(l)}")
 
     offsets = dict.fromkeys(present, 0)
-    out = [np.zeros(batch + (0,), dtype=symbol_dtype(params.field.order))]
+    out = []
     for run in layout.runs:
         spec = replace(params, threshold=params.wiretap + run.size)
         avail = [l for l in run.active if l in payloads]
-        # stacked first and moved last, so that one unbatched payload's
-        # column stays contiguous for the block kernel
-        cols = np.moveaxis(np.stack(
-            [payloads[l][..., offsets[l]:offsets[l] + run.count]
-             for l in avail]), 0, -1)
-        blocks = decode_blocks(spec, avail, cols.reshape(-1, len(avail)))
+        # one column per share, the run's slice of its payload: a view
+        # unless a batch of payloads holds more than this run
+        blocks = decode_blocks(spec, avail, *(
+            payloads[l][..., offsets[l]:offsets[l] + run.count].reshape(-1)
+            for l in avail))
         out.append(blocks.reshape(batch + (-1,)))
         for l in avail:
             offsets[l] += run.count
-    return np.concatenate(out, axis=-1)[..., :layout.message_symbols]
+    message = out[0] if len(out) == 1 else np.concatenate(
+        [np.zeros(batch + (0,), dtype=symbol_dtype(params.field.order)),
+         *out], axis=-1)
+    return message[..., :layout.message_symbols]
 

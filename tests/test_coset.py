@@ -36,7 +36,7 @@ def decode(spec, observed) -> tuple[int, ...]:
     """One block's message from (share_index, value) pairs."""
     ids = [i for i, _ in observed]
     values = [v for _, v in observed]
-    return tuple(decode_blocks(spec, ids, np.array([values]))[0].tolist())
+    return tuple(decode_blocks(spec, ids, *np.array([values]).T)[0].tolist())
 
 
 def test_encode_frozen_values():
@@ -215,15 +215,15 @@ def test_block_paths_match_scalar_paths(field):
         assert shares[i].tolist() == want
     ids = (2, 4, 1)
     cols = shares[:, [1, 3, 0]]
-    back = decode_blocks(spec, ids, cols)
+    back = decode_blocks(spec, ids, *cols.T)
     assert np.array_equal(back, msgs)
     # extra consistent column passes, corrupted one does not
-    full = decode_blocks(spec, (1, 2, 3, 4), shares)
+    full = decode_blocks(spec, (1, 2, 3, 4), *shares.T)
     assert np.array_equal(full, msgs)
     bad = shares.copy()
     bad[7, 3] = (int(bad[7, 3]) + 1) % q
     with pytest.raises(DecodeFailureError):
-        decode_blocks(spec, (1, 2, 3, 4), bad)
+        decode_blocks(spec, (1, 2, 3, 4), *bad.T)
 
 
 
@@ -312,7 +312,7 @@ def test_tampered_extra_shares_fail_exactly_as_before(field):
         for rows in [slice(None)] + [slice(b, b + 1) for b in range(n)]:
             old = _old_decode(spec, ids, shares[rows])
             try:
-                got = decode_blocks(spec, ids, shares[rows])
+                got = decode_blocks(spec, ids, *shares[rows].T)
             except DecodeFailureError:
                 got = None
             assert (got is None) == (old is None)

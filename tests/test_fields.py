@@ -276,6 +276,46 @@ def test_array_matmul_matches_scalar_loop(field):
                 assert got[i, j] == acc
 
 
+@pytest.fixture(scope="module")
+def gf256_products():
+    # every product by the shift-and-reduce reference, no shared code
+    return np.array([[ref_gf256_mul(x, y) for y in range(256)]
+                     for x in range(256)], dtype=np.uint8)
+
+
+# row counts on both sides of the switch to packed lanes and of each edge
+# of the lane kernel's passes
+DIRECT, CHUNK = fields._DIRECT_ROWS, fields._LANE_CHUNK
+
+
+@pytest.mark.parametrize("n", [1, DIRECT - 1, DIRECT, DIRECT + 1, CHUNK - 1,
+                               CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+def test_gf256_kernel_matches_the_products_at_every_lane_width(
+        n, gf256_products):
+    # m = 1..9, 16, 17 and 255 reach every lane word (uint8..uint64) and
+    # every remainder of a group of 8 outputs
+    field = binary8_field()
+    rng = np.random.default_rng(n)
+    for case, m in enumerate([*range(1, 10), 16, 17, 255]):
+        a = rng.integers(0, 256, size=(n, 3), dtype=np.uint8)
+        b = rng.integers(0, 256, size=(3, m))
+        # rows that skip the lookup: all ones, all zeros, or both
+        pattern = [None, (1, None, 0), (1, 0, 1), (0, 0, 0)][case % 4]
+        for j, value in enumerate(pattern or ()):
+            if value is not None:
+                b[j] = value
+        if case % 2:
+            columns = a.T  # strided views into one (n, 3) array
+        else:
+            columns = [np.ascontiguousarray(c) for c in a.T]
+        got = array_matmul(field, columns, b)
+        assert got.dtype == np.uint8 and got.shape == (n, m)
+        want = np.zeros((n, m), dtype=np.uint8)
+        for j in range(3):
+            want ^= gf256_products[a[:, j][:, None], b[j][None, :]]
+        assert np.array_equal(got, want), (n, m)
+
+
 # inner widths on both sides of each switch of the GF(p) accumulator
 # dtype: (p - 1)^2 * inner first exceeds 255 at inner 256 over GF(2) and
 # 16 over GF(5), 65535 at inner 2 over GF(251), and 2^32 - 1 at inner 2
