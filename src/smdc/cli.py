@@ -16,9 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coset import CosetCodeSpec
-from .errors import (BudgetExceededError, DecodeFailureError,
-                     InsufficientSharesError, ParameterError,
-                     RegionViolationError, ShareFormatError, SmdcError)
+from .errors import (DecodeFailureError, InsufficientSharesError,
+                     ParameterError, ShareFormatError, SmdcError)
 from .fields import FieldSpec, _is_prime, binary8_field, prime_field
 from .multilevel import SmdcParams, plan as multilevel_plan
 from .region import (_one_level, smdc_min_sum_rate, superposition_corner_points,
@@ -37,10 +36,10 @@ from .wiretap import (achievable_secrecy_rate,  # noqa: F401  (perfbench spans)
                       admissible_by_separation)
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_INFEASIBLE = 3
-EXIT_VERIFY_FAILED = 4
-EXIT_IO = 5
+EXIT_USAGE = SmdcError.exit_code
+EXIT_INFEASIBLE = InsufficientSharesError.exit_code
+EXIT_VERIFY_FAILED = DecodeFailureError.exit_code
+EXIT_IO = ShareFormatError.exit_code
 
 
 def _parse_field(text: str) -> FieldSpec:
@@ -345,21 +344,9 @@ def entry(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (InsufficientSharesError, RegionViolationError) as exc:
+    except (SmdcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except DecodeFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    except (ShareFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SmdcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return exc.exit_code if isinstance(exc, SmdcError) else EXIT_IO
 
 
 def main() -> None:

@@ -34,6 +34,7 @@ from .errors import (
     DecodeFailureError,
     InsufficientSharesError,
     ParameterError,
+    as_int,
 )
 from .fields import (FieldSpec, array_matmul, lagrange_rows, symbol_dtype,
                      vandermonde_array)
@@ -64,6 +65,8 @@ class CosetCodeSpec:
     threshold: int
 
     def __post_init__(self):
+        for name in ("length", "wiretap", "threshold"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if not 1 <= self.wiretap < self.threshold <= self.length:
             raise ParameterError(
                 f"need 1 <= wiretap < threshold <= length, got "

@@ -1,8 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, with the exit code of
+each, and the integer check that raises one."""
+
+import operator
 
 
 class SmdcError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``exit_code`` is the status the `smdc` command exits with on this
+    error: 2, a usage error, unless a subclass names another.
+    """
+
+    exit_code = 2
 
 
 class ParameterError(SmdcError, ValueError):
@@ -15,6 +24,8 @@ class RegionViolationError(SmdcError):
     ``subset`` names one offending encoder subset whose summed rate is
     below the required entropy.
     """
+
+    exit_code = 3
 
     def __init__(self, message: str, subset: tuple[int, ...], rates=None):
         super().__init__(message)
@@ -29,6 +40,8 @@ class InsufficientSharesError(SmdcError):
     part of the bundle that could not be decoded.
     """
 
+    exit_code = 3
+
     def __init__(self, message: str, needed: int, have: int):
         super().__init__(message)
         self.needed = needed
@@ -42,6 +55,8 @@ class InsufficientSharesError(SmdcError):
 class DecodeFailureError(SmdcError):
     """Observed shares are mutually inconsistent (not a codeword)."""
 
+    exit_code = 4
+
 
 class BudgetExceededError(SmdcError):
     """An exhaustive enumeration would exceed the configured budget."""
@@ -49,3 +64,15 @@ class BudgetExceededError(SmdcError):
 
 class ShareFormatError(SmdcError):
     """A share file is malformed or inconsistent with its peers."""
+
+    exit_code = 5
+
+
+def as_int(value, what: str) -> int:
+    """`value` as an int: a Python or numpy integer passes, anything
+    else (a float, say) raises ParameterError naming `what`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(
+            f"{what} must be an integer, got {value!r}") from None

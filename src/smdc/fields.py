@@ -1,10 +1,10 @@
 """Arithmetic over the small finite fields used by the coding layers.
 
-Two kinds of field are supported: prime fields GF(p) with p <= 2^16, and
-the 256-element binary field GF(2^8) built from a degree-8 reduction
-polynomial (given as a 9-bit mask, default 0x11B).  Scalar arithmetic on
-plain ints goes through :class:`FieldSpec`, and all bulk block math uses
-the numpy helpers at the bottom of the module.
+A field is named by its order q: a prime p <= 2^16, for GF(p), or 256,
+for GF(2^8) reduced by x^8 + x^4 + x^3 + x + 1 (0x11B).  All fields of
+one order are isomorphic, and a code's guarantees depend on q alone.
+Scalar arithmetic on plain ints goes through :class:`FieldSpec`, and all
+bulk block math uses the numpy helpers at the bottom of the module.
 The block kernel `array_matmul` reduces GF(p) sums by floor division,
 x - (x // p) p: numpy divides 8- to 32-bit words by a scalar as a
 vectorized multiply and shift, but takes x % p one division per entry,
@@ -23,13 +23,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, as_int
 
 PRIME = "prime"
 BINARY8 = "binary8"
 
 MAX_PRIME = 1 << 16
-DEFAULT_BINARY8_POLY = 0x11B
+BINARY8_ORDER = 256
 
 
 def _is_prime(n: int) -> bool:
@@ -47,62 +47,31 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _poly_mul(a: int, b: int) -> int:
-    # carry-less product of GF(2) polynomials
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
-    return out
-
-
-def _poly_mod(a: int, mod: int) -> int:
-    md = mod.bit_length() - 1
-    while a.bit_length() - 1 >= md:
-        a ^= mod << (a.bit_length() - 1 - md)
-    return a
-
-
-def _is_irreducible_deg8(poly: int) -> bool:
-    return poly.bit_length() - 1 == 8 and _has_no_small_factor(poly)
-
-
-@lru_cache(maxsize=None)  # at most the 256 degree-8 masks
-def _has_no_small_factor(poly: int) -> bool:
-    # a degree-8 polynomial over GF(2) is irreducible iff it has no
-    # factor of degree 1..4
-    return all(_poly_mod(poly, d) != 0 for d in range(2, 1 << 5))
+def _check_prime(p: int) -> None:
+    if not (p <= MAX_PRIME and _is_prime(p)):
+        raise ParameterError(f"{p} is not a usable prime modulus")
 
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Identifies one finite field and implements its scalar arithmetic.
+    """Identifies one finite field by its order and implements its
+    scalar arithmetic.
 
-    ``kind`` is "prime" or "binary8"; ``modulus`` is the prime p or the
-    9-bit reduction polynomial mask.  Instances are value objects: two
+    ``order`` is a prime p <= 2^16, or 256 for GF(2^8); ``kind`` ("prime"
+    or "binary8") follows from it.  Instances are value objects: two
     specs compare equal iff they describe the same field.
     """
 
-    kind: str
-    modulus: int
+    order: int
 
     def __post_init__(self):
-        if self.kind == PRIME:
-            if not (self.modulus <= MAX_PRIME and _is_prime(self.modulus)):
-                raise ParameterError(f"{self.modulus} is not a usable prime modulus")
-        elif self.kind == BINARY8:
-            if not _is_irreducible_deg8(self.modulus):
-                raise ParameterError(
-                    f"0x{self.modulus:X} is not an irreducible degree-8 polynomial"
-                )
-        else:
-            raise ParameterError(f"unknown field kind {self.kind!r}")
+        object.__setattr__(self, "order", as_int(self.order, "field order"))
+        if self.order != BINARY8_ORDER:
+            _check_prime(self.order)
 
     @property
-    def order(self) -> int:
-        return self.modulus if self.kind == PRIME else 256
+    def kind(self) -> str:
+        return BINARY8 if self.order == BINARY8_ORDER else PRIME
 
     def _check(self, a: int) -> int:
         if not 0 <= a < self.order:
@@ -111,33 +80,33 @@ class FieldSpec:
 
     def add(self, a: int, b: int) -> int:
         if self.kind == PRIME:
-            return (a + b) % self.modulus
+            return (a + b) % self.order
         return a ^ b
 
     def neg(self, a: int) -> int:
         if self.kind == PRIME:
-            return (-a) % self.modulus
+            return (-a) % self.order
         return a
 
     def sub(self, a: int, b: int) -> int:
         if self.kind == PRIME:
-            return (a - b) % self.modulus
+            return (a - b) % self.order
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
         if self.kind == PRIME:
-            return (a * b) % self.modulus
+            return (a * b) % self.order
         if a == 0 or b == 0:
             return 0
-        exp, log = _binary8_tables(self.modulus)
+        exp, log = _binary8_tables()
         return exp[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         if self.kind == PRIME:
-            return pow(a, -1, self.modulus)
-        exp, log = _binary8_tables(self.modulus)
+            return pow(a, -1, self.order)
+        exp, log = _binary8_tables()
         return exp[255 - log[a]]
 
     def pow(self, a: int, e: int) -> int:
@@ -154,47 +123,38 @@ class FieldSpec:
 
     def __repr__(self):
         if self.kind == PRIME:
-            return f"GF({self.modulus})"
-        return f"GF(2^8/0x{self.modulus:X})"
+            return f"GF({self.order})"
+        return "GF(2^8/0x11B)"
 
 
 @lru_cache(maxsize=None)
-def _binary8_tables(poly: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # log/exp tables over a generator of the multiplicative group
-    def raw_mul(a, b):
-        return _poly_mod(_poly_mul(a, b), poly)
-
-    for g in range(2, 256):
-        exp = [0] * 510
-        log = [0] * 256
-        x = 1
-        ok = True
-        for i in range(255):
-            if i > 0 and x == 1:
-                ok = False  # cycle shorter than 255, not a generator
-                break
-            exp[i] = x
-            log[x] = i
-            x = raw_mul(x, g)
-        if ok and x == 1:
-            for i in range(255, 510):
-                exp[i] = exp[i - 255]
-            return tuple(exp), tuple(log)
-    raise AssertionError("no multiplicative generator found")  # pragma: no cover
+def _binary8_tables() -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # exp/log tables over the generator x + 1 (3) of the multiplicative
+    # group; exp runs twice round so a sum of two logs needs no reduction
+    exp = [0] * 510
+    log = [0] * 256
+    x = 1
+    for i in range(255):
+        exp[i] = exp[i + 255] = x
+        log[x] = i
+        x ^= x << 1
+        if x & 0x100:
+            x ^= 0x11B
+    return tuple(exp), tuple(log)
 
 
 @lru_cache(maxsize=None)
-def _binary8_log_exp(poly: int) -> tuple[np.ndarray, np.ndarray]:
+def _binary8_log_exp() -> tuple[np.ndarray, np.ndarray]:
     """The log and exp tables as int64 arrays."""
-    exp, log = _binary8_tables(poly)
+    exp, log = _binary8_tables()
     return np.array(log, dtype=np.int64), np.array(exp, dtype=np.int64)
 
 
 @lru_cache(maxsize=None)
-def _binary8_mul_table(poly: int) -> np.ndarray:
+def _binary8_mul_table() -> np.ndarray:
     """256 x 256 product table; row g is the split-table row for
     multiplying by the constant g."""
-    log, exp = _binary8_log_exp(poly)
+    log, exp = _binary8_log_exp()
     table = exp[log[:, None] + log[None, :]].astype(np.uint8)
     table[0, :] = 0
     table[:, 0] = 0
@@ -203,11 +163,12 @@ def _binary8_mul_table(poly: int) -> np.ndarray:
 
 
 def prime_field(p: int) -> FieldSpec:
-    return FieldSpec(PRIME, p)
+    _check_prime(p)
+    return FieldSpec(p)
 
 
-def binary8_field(poly: int = DEFAULT_BINARY8_POLY) -> FieldSpec:
-    return FieldSpec(BINARY8, poly)
+def binary8_field() -> FieldSpec:
+    return FieldSpec(BINARY8_ORDER)
 
 
 GF5 = prime_field(5)
@@ -233,6 +194,7 @@ def vandermonde_array(spec: FieldSpec, nodes: Sequence[int], width: int) -> np.n
 # ---------------------------------------------------------------------------
 # bulk numpy paths (exact; used for multi-block encoding and file splitting)
 
+@lru_cache(maxsize=256)  # field orders, and array_matmul's sum bounds
 def symbol_dtype(order: int) -> type:
     """Narrowest unsigned dtype that holds 0..order-1."""
     for t in (np.uint8, np.uint16, np.uint32, np.uint64):
@@ -267,21 +229,21 @@ def as_symbols(spec: FieldSpec, values) -> np.ndarray:
 def _array_mul(spec: FieldSpec, x, y) -> np.ndarray:
     """Elementwise field product of broadcastable int64 arrays."""
     if spec.kind == PRIME:
-        return (x * y) % spec.modulus
-    return _binary8_mul_table(spec.modulus)[x, y].astype(np.int64)
+        return (x * y) % spec.order
+    return _binary8_mul_table()[x, y].astype(np.int64)
 
 
 def _array_add(spec: FieldSpec, x, y) -> np.ndarray:
     """Elementwise field sum of broadcastable int64 arrays."""
     if spec.kind == PRIME:
-        return (x + y) % spec.modulus
+        return (x + y) % spec.order
     return x ^ y
 
 
 def _array_sub(spec: FieldSpec, x, y) -> np.ndarray:
     """Elementwise field difference of broadcastable int64 arrays."""
     if spec.kind == PRIME:
-        return (x - y) % spec.modulus
+        return (x - y) % spec.order
     return x ^ y
 
 
@@ -290,16 +252,16 @@ def _nonzero_prod(spec: FieldSpec, x: np.ndarray) -> np.ndarray:
     if spec.kind == PRIME:
         out = np.ones(x.shape[:-1], dtype=np.int64)
         for column in np.moveaxis(x, -1, 0):
-            out = out * column % spec.modulus
+            out = out * column % spec.order
         return out
-    log, exp = _binary8_log_exp(spec.modulus)
+    log, exp = _binary8_log_exp()
     return exp[log[x].sum(axis=-1) % 255]
 
 
 def _nonzero_inv(spec: FieldSpec, x: np.ndarray) -> np.ndarray:
     """Elementwise inverse of int64 nonzero elements."""
     if spec.kind == PRIME:
-        p = spec.modulus  # x^(p-2); every product stays below p^2 < 2^32
+        p = spec.order  # x^(p-2); every product stays below p^2 < 2^32
         out, base, e = np.ones_like(x), x % p, p - 2
         while e:
             if e & 1:
@@ -307,7 +269,7 @@ def _nonzero_inv(spec: FieldSpec, x: np.ndarray) -> np.ndarray:
             base = base * base % p
             e >>= 1
         return out
-    log, exp = _binary8_log_exp(spec.modulus)
+    log, exp = _binary8_log_exp()
     return exp[255 - log[x]]
 
 
@@ -395,9 +357,9 @@ def array_matmul(spec: FieldSpec, columns, b: np.ndarray) -> np.ndarray:
         raise ParameterError("array_matmul shapes do not align")
     columns = [np.asarray(c).astype(dtype, copy=False) for c in columns]
     if spec.kind == BINARY8:
-        return _binary8_matmul(spec.modulus, columns, b)
+        return _binary8_matmul(columns, b)
     n = len(columns[0])
-    p = spec.modulus
+    p = spec.order
     wide = symbol_dtype((p - 1) ** 2 * inner + 1)
     fold = wide == np.uint64
     if fold:  # p - 1 + (p - 1)^2 = p (p - 1) < 2^32
@@ -415,7 +377,7 @@ def array_matmul(spec: FieldSpec, columns, b: np.ndarray) -> np.ndarray:
     return acc.astype(dtype, copy=False).T
 
 
-def _binary8_matmul(poly: int, columns: list, b: np.ndarray) -> np.ndarray:
+def _binary8_matmul(columns: list, b: np.ndarray) -> np.ndarray:
     """array_matmul over GF(2^8), on uint8 columns: one table gather per
     input symbol.
 
@@ -435,7 +397,7 @@ def _binary8_matmul(poly: int, columns: list, b: np.ndarray) -> np.ndarray:
     instead of gathering it.  The result is a row-major (n, m) view of
     the accumulator, whose rows are padded to whole words.
     """
-    table = _binary8_mul_table(poly)
+    table = _binary8_mul_table()
     inner, m = b.shape
     n = len(columns[0])
     if n < _DIRECT_ROWS:

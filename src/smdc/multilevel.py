@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .coset import CosetCodeSpec, check_encoder_count
-from .errors import InsufficientSharesError, ParameterError
+from .errors import InsufficientSharesError, ParameterError, as_int
 from .fields import FieldSpec
 from .randomness import as_symbol_source
 from .single_level import (
@@ -43,12 +43,15 @@ class SmdcParams:
     source_lengths: tuple[int, ...]
 
     def __post_init__(self):
+        for name in ("length", "wiretap"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if not 1 <= self.wiretap < self.length:
             raise ParameterError(
                 f"need 1 <= wiretap < length, got "
                 f"({self.length}, {self.wiretap})")
         object.__setattr__(self, "source_lengths",
-                           tuple(int(v) for v in self.source_lengths))
+                           tuple(as_int(v, "source length")
+                                 for v in self.source_lengths))
         if len(self.source_lengths) != self.source_count:
             raise ParameterError(
                 f"need {self.source_count} source lengths, "

@@ -8,8 +8,8 @@ Layout (little endian):
     | source_count * byte_length u64  (original file size per source)
     | body, one byte per symbol, sources in order
 
-The field id is the prime itself for GF(p) with p <= 251, or 0x0100 for
-GF(2^8) with the default polynomial.  Symbols therefore always fit in
+The field id is the field's order: the prime itself for GF(p) with
+p <= 251, or 256 = 0x0100 for GF(2^8).  Symbols therefore always fit in
 one body byte.  Prime fields carry each payload byte as the smallest
 number of base-p digits that can hold 0..255; GF(2^8) stores bytes
 directly.
@@ -25,9 +25,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (DecodeFailureError, ParameterError, ShareFormatError)
-from .fields import (BINARY8, DEFAULT_BINARY8_POLY, FieldSpec, _is_prime,
-                     binary8_field, prime_field)
+from .errors import (DecodeFailureError, ParameterError, ShareFormatError,
+                     as_int)
+from .fields import BINARY8, FieldSpec, _is_prime
 from .multilevel import SmdcParams, decode, encode, plan
 
 MAGIC = b"SMDC"
@@ -39,33 +39,23 @@ _HEAD = struct.Struct("<4sBBBBHB")
 
 
 def field_to_id(field: FieldSpec) -> int:
-    if field.kind == BINARY8:
-        if field.modulus != DEFAULT_BINARY8_POLY:
-            raise ParameterError(
-                "share files only carry the default GF(2^8) polynomial")
-        return BINARY8_FIELD_ID
-    if field.modulus > MAX_PRIME_FIELD_ID:
+    if field.order > BINARY8_FIELD_ID:
         raise ParameterError(
-            f"share files store one symbol per byte; GF({field.modulus}) "
-            f"does not fit")
-    return field.modulus
+            f"share files store one symbol per byte; {field} does not fit")
+    return field.order
 
 
 def field_from_id(fid: int) -> FieldSpec:
-    if fid == BINARY8_FIELD_ID:
-        return binary8_field()
-    if 2 <= fid <= MAX_PRIME_FIELD_ID and _is_prime(fid):
-        return prime_field(fid)
+    if fid == BINARY8_FIELD_ID or (fid <= MAX_PRIME_FIELD_ID and _is_prime(fid)):
+        return FieldSpec(fid)
     raise ShareFormatError(f"unknown field id {fid:#06x}")
 
 
 def symbols_per_byte(field: FieldSpec) -> int:
-    if field.kind == BINARY8:
-        return 1
-    t, span = 1, field.modulus
+    t, span = 1, field.order
     while span < 256:
         t += 1
-        span *= field.modulus
+        span *= field.order
     return t
 
 
@@ -73,7 +63,7 @@ def symbols_per_byte(field: FieldSpec) -> int:
 def _digit_table(field: FieldSpec) -> np.ndarray:
     """Row b holds the big endian base-p digits of the byte b: a
     read-only 256 x symbols_per_byte() uint8 array."""
-    p = field.modulus
+    p = field.order
     weights = p ** np.arange(symbols_per_byte(field) - 1, -1, -1)
     table = (np.arange(256)[:, None] // weights % p).astype(np.uint8)
     table.flags.writeable = False
@@ -110,7 +100,7 @@ def symbols_to_bytes(field: FieldSpec, symbols, n_bytes: int) -> bytes:
         wide = np.uint32 if digits.dtype == np.uint8 else np.int64
         values = groups[:, 0].astype(wide)
         for j in range(1, t):
-            values *= field.modulus
+            values *= field.order
             values += groups[:, j].astype(wide, copy=False)
     if values.size and (values.min() < 0 or values.max() > 255):
         raise DecodeFailureError("recovered symbols do not form bytes")
@@ -153,7 +143,7 @@ class ShareFile:
 
 def _check_geometry(length: int, wiretap: int) -> None:
     # the header stores L and N in one byte each
-    if not 1 <= wiretap < length <= 255:
+    if not 1 <= as_int(wiretap, "wiretap") < as_int(length, "length") <= 255:
         raise ParameterError("need 1 <= wiretap < length <= 255")
 
 

@@ -36,6 +36,7 @@ from .errors import (
     ParameterError,
     RegionViolationError,
     SmdcError,
+    as_int,
 )
 from .fields import as_symbols, symbol_dtype
 from .randomness import as_symbol_source
@@ -132,6 +133,13 @@ def _check_region(params: CosetCodeSpec,
         subset=subset, rates=rates)
 
 
+def _message_length(n) -> int:
+    n = as_int(n, "message length")
+    if n < 0:
+        raise ParameterError("message length cannot be negative")
+    return n
+
+
 def rate_layout(params: CosetCodeSpec, message_symbols: int,
                 rates) -> BundleLayout:
     """Schedule `message_symbols` symbols at (per-symbol) rates.
@@ -144,8 +152,7 @@ def rate_layout(params: CosetCodeSpec, message_symbols: int,
     as the message is covered.
     """
     rates = _as_rates(params, rates)
-    if message_symbols < 0:
-        raise ParameterError("message length cannot be negative")
+    message_symbols = _message_length(message_symbols)
     _check_region(params, rates)
 
     budgets = [ceil(r * message_symbols) for r in rates]
@@ -176,8 +183,7 @@ def symmetric_layout(params: CosetCodeSpec,
     """rate_layout at every rate 1/k, in closed form: every encoder's
     budget is ceil(h/k) blocks, so the schedule is one run over all L
     encoders with k message symbols per block (none when h = 0)."""
-    if message_symbols < 0:
-        raise ParameterError("message length cannot be negative")
+    message_symbols = _message_length(message_symbols)
     blocks = -(-message_symbols // params.k)
     run = BlockRun(tuple(range(1, params.length + 1)), params.k, blocks)
     return BundleLayout(params, (run,) if blocks else (), message_symbols)

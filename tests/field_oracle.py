@@ -100,8 +100,8 @@ def matrix_inverse(spec: FieldSpec, a) -> np.ndarray:
         factors = m[:, col].copy()
         factors[col] = 0
         if spec.kind == PRIME:
-            m = (m - np.outer(factors, m[col])) % spec.modulus
+            m = (m - np.outer(factors, m[col])) % spec.order
         else:
-            table = _binary8_mul_table(spec.modulus)
+            table = _binary8_mul_table()
             m ^= np.take(table[factors], m[col], axis=1)
     return m[:, n:].astype(symbol_dtype(spec.order))

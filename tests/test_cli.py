@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from smdc import cli, errors
 from smdc.cli import (EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, EXIT_USAGE,
                       EXIT_VERIFY_FAILED, entry)
 
@@ -400,6 +401,38 @@ def test_a_non_numeric_field_is_refused_without_a_share_file_limit(capsys):
     err = capsys.readouterr().err
     assert "field must be 'gf256' or a prime, got 'gf7'" in err
     assert "251" not in err
+
+
+# the exit codes the module docstring of smdc.cli documents
+EXIT_CODES = [
+    (errors.SmdcError("boom"), 2),
+    (errors.ParameterError("boom"), 2),
+    (errors.BudgetExceededError("boom"), 2),
+    (errors.RegionViolationError("boom", subset=(1,)), 3),
+    (errors.InsufficientSharesError("boom", needed=2, have=1), 3),
+    (errors.DecodeFailureError("boom"), 4),
+    (errors.ShareFormatError("boom"), 5),
+    (OSError("boom"), 5),
+]
+
+
+def test_exit_code_table_names_every_error_class():
+    classes = {v for v in vars(errors).values()
+               if isinstance(v, type) and issubclass(v, errors.SmdcError)}
+    assert classes == {type(e) for e, _ in EXIT_CODES} - {OSError}
+
+
+@pytest.mark.parametrize("error,code", EXIT_CODES,
+                         ids=lambda v: type(v).__name__ if
+                         isinstance(v, Exception) else str(v))
+def test_every_error_exits_with_its_code(monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error
+    monkeypatch.setattr(cli, "_cmd_wn", fail)
+    assert entry(["wn", "--L", "3", "--N", "1", "--m", "2",
+                  "--rates", "1,1,1"]) == code
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: boom\n")
 
 
 def test_missing_subcommand_is_a_usage_error():

@@ -88,6 +88,16 @@ def test_spec_validation():
         CosetCodeSpec(GF5, length=6, wiretap=1, threshold=2)  # nodes run out
 
 
+def test_spec_shape_must_be_integers():
+    for shape in [(4.0, 1, 3), (4, 1.0, 3), (4, 1, 2.5), ("4", 1, 3)]:
+        with pytest.raises(ParameterError, match="must be an integer"):
+            CosetCodeSpec(GF5, *shape)
+    spec = CosetCodeSpec(GF5, np.int64(4), np.uint8(1), np.int32(3))
+    assert spec == CosetCodeSpec(GF5, 4, 1, 3)
+    assert {type(v) for v in (spec.length, spec.wiretap, spec.threshold)} \
+        == {int}
+
+
 @pytest.mark.parametrize("field", [GF7, GF256])
 def test_round_trip_every_shape_and_subset(field):
     rng = np.random.default_rng(11)

@@ -91,41 +91,28 @@ def test_field_spec_rejects_bad_moduli():
         prime_field(1)
     with pytest.raises(ParameterError):
         prime_field((1 << 16) + 1)
+    with pytest.raises(ParameterError,
+                       match=r"^256 is not a usable prime modulus$"):
+        prime_field(256)  # GF(2^8) is binary8_field(), not a prime field
     with pytest.raises(ParameterError):
-        binary8_field(0x11C)  # divisible by x
-    with pytest.raises(ParameterError):
-        binary8_field(0x1FF)  # reducible: x^2+x+1 divides it
-    with pytest.raises(ParameterError):
-        FieldSpec("ternary", 3)
+        FieldSpec("ternary")
 
 
-def test_alternative_reduction_polynomial_accepted():
-    f = binary8_field(0x11D)
-    for a in range(1, 256):
-        assert f.mul(a, f.inv(a)) == 1
-
-
-def test_binary8_polynomial_is_checked_once(monkeypatch):
-    # share files build a fresh spec per share; only the first spec of a
-    # polynomial pays for the irreducibility test
-    binary8_field(0x11D)
-    reductions = []
-    real = fields._poly_mod
-    monkeypatch.setattr(fields, "_poly_mod",
-                        lambda a, mod: reductions.append(mod) or real(a, mod))
-    binary8_field(0x11D)
-    binary8_field(0x11D)
-    assert reductions == []
-    for _ in range(2):
-        with pytest.raises(ParameterError, match=r"^0x11A is not an "
-                           r"irreducible degree-8 polynomial$"):
-            binary8_field(0x11A)  # x divides it
+@pytest.mark.parametrize("order", [0, 1, 4, 255, (1 << 16) + 1])
+def test_field_spec_refuses_orders_of_no_supported_field(order):
+    with pytest.raises(ParameterError,
+                       match=rf"^{order} is not a usable prime modulus$"):
+        FieldSpec(order)
 
 
 def test_specs_are_value_objects():
-    assert prime_field(5) == prime_field(5)
+    assert prime_field(5) == prime_field(5) == FieldSpec(5)
     assert prime_field(5) != prime_field(7)
-    assert binary8_field() == binary8_field(0x11B)
+    assert binary8_field() == FieldSpec(256)
+    assert binary8_field() != prime_field(257)
+    assert (prime_field(5).kind, binary8_field().kind) == ("prime", "binary8")
+    assert (repr(prime_field(5)), repr(binary8_field())) == \
+        ("GF(5)", "GF(2^8/0x11B)")
 
 
 # --- axioms ------------------------------------------------------------------

@@ -25,6 +25,18 @@ def decoded(bundle, subset=None):
         bundle.layout, {l: bundle.payloads[l] for l in held})]
 
 
+def test_shape_must_be_integers():
+    with pytest.raises(ParameterError, match="source length must be"):
+        SmdcParams(GF5, 3, 1, (2.7, 1))
+    with pytest.raises(ParameterError, match="length must be"):
+        SmdcParams(GF5, 3.0, 1, (2, 1))
+    with pytest.raises(ParameterError, match="wiretap must be"):
+        SmdcParams(GF5, 3, 1.0, (2, 1))
+    params = SmdcParams(GF5, np.int64(3), np.int64(1), (np.uint16(2), 1))
+    assert params == SmdcParams(GF5, 3, 1, (2, 1))
+    assert type(params.source_lengths[0]) is int
+
+
 def test_frozen_two_level_example():
     params = SmdcParams(GF5, length=3, wiretap=1, source_lengths=(1, 2))
     bundle = encode(plan(params), [[2], [0, 4]], source=SequenceSymbolSource([3, 1]))

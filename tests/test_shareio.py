@@ -64,17 +64,14 @@ def test_malformed_blobs_are_rejected(mangle, what):
 def test_field_id_mapping():
     assert field_to_id(GF5) == 5
     assert field_to_id(prime_field(251)) == 251
-    assert field_to_id(binary8_field()) == BINARY8_FIELD_ID
+    assert field_to_id(binary8_field()) == BINARY8_FIELD_ID == 256
     assert field_from_id(5) == GF5
     assert field_from_id(BINARY8_FIELD_ID) == binary8_field()
     with pytest.raises(ParameterError):
         field_to_id(prime_field(257))          # symbol would not fit a byte
-    with pytest.raises(ParameterError):
-        field_to_id(binary8_field(0x11D))      # only the default polynomial
-    with pytest.raises(ShareFormatError):
-        field_from_id(4)
-    with pytest.raises(ShareFormatError):
-        field_from_id(0x0200)
+    for fid in (0, 1, 4, 255, 257, 0x0200):
+        with pytest.raises(ShareFormatError):
+            field_from_id(fid)
 
 
 def test_symbols_per_byte_values():
@@ -109,6 +106,13 @@ SHARE_FILE_PRIMES = [p for p in range(2, MAX_PRIME_FIELD_ID + 1)
                      if _is_prime(p)]
 
 
+@pytest.mark.parametrize("field", [*map(prime_field, SHARE_FILE_PRIMES),
+                                   binary8_field()], ids=repr)
+def test_field_id_is_the_order(field):
+    assert field_to_id(field) == field.order
+    assert field_from_id(field_to_id(field)) == field
+
+
 def digits_of(p, t, value, cap=None):
     """t big endian base-p digits summing to value, each at most `cap`
     (the top one unbounded if cap is None), greedily from the top; None
@@ -128,7 +132,7 @@ def old_symbols_to_bytes(field, digits, n_bytes):
     t = symbols_per_byte(field)
     if not isinstance(digits, np.ndarray):
         digits = np.asarray(digits, dtype=np.int64)
-    weights = field.modulus ** np.arange(t - 1, -1, -1, dtype=np.uint32)
+    weights = field.order ** np.arange(t - 1, -1, -1, dtype=np.uint32)
     values = digits.reshape(n_bytes, t) @ weights
     if values.size and (values.min() < 0 or values.max() > 255):
         return None
@@ -236,6 +240,16 @@ def test_join_rejects_foreign_and_duplicate_shares():
         join_files([shares[0], other[1]])
     with pytest.raises(ShareFormatError):
         join_files([shares[0], shares[0], shares[1]])
+
+
+def test_split_shape_must_be_integers():
+    for length, wiretap in [(3.0, 1), (3, 1.0)]:
+        with pytest.raises(ParameterError, match="must be an integer"):
+            split_files(binary8_field(), length, wiretap, [b"a", b"b"],
+                        source=1)
+    assert split_files(binary8_field(), np.int64(3), np.int64(1),
+                       [b"a", b"b"], source=1) == \
+        split_files(binary8_field(), 3, 1, [b"a", b"b"], source=1)
 
 
 def test_join_rejects_wrong_geometry():

@@ -120,6 +120,15 @@ def test_rate_layout_rejects_floats_and_bad_width():
         rate_layout(params, 2, (1,))
 
 
+def test_message_length_must_be_an_integer():
+    params = CosetCodeSpec(GF5, length=4, wiretap=1, threshold=3)
+    with pytest.raises(ParameterError, match="message length must be"):
+        symmetric_layout(params, 2.5)
+    with pytest.raises(ParameterError, match="message length must be"):
+        rate_layout(params, 2.0, (1, 1, 1, 1))
+    assert symmetric_layout(params, np.int64(5)) == symmetric_layout(params, 5)
+
+
 @pytest.mark.parametrize("shape", [(2, 1, 2), (3, 1, 2), (3, 1, 3),
                                    (4, 1, 3), (4, 2, 3), (5, 2, 4)])
 def test_symmetric_round_trip_all_subsets(shape):
