@@ -46,7 +46,8 @@ def field_to_id(field: FieldSpec) -> int:
 
 
 def field_from_id(fid: int) -> FieldSpec:
-    if fid == BINARY8_FIELD_ID or (fid <= MAX_PRIME_FIELD_ID and _is_prime(fid)):
+    if fid == BINARY8_FIELD_ID or (fid <= MAX_PRIME_FIELD_ID
+                                   and _is_prime(fid)):
         return FieldSpec(fid)
     raise ShareFormatError(f"unknown field id {fid:#06x}")
 

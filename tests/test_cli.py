@@ -423,8 +423,7 @@ def test_exit_code_table_names_every_error_class():
 
 
 @pytest.mark.parametrize("error,code", EXIT_CODES,
-                         ids=lambda v: type(v).__name__ if
-                         isinstance(v, Exception) else str(v))
+                         ids=[type(e).__name__ for e, _ in EXIT_CODES])
 def test_every_error_exits_with_its_code(monkeypatch, capsys, error, code):
     def fail(args):
         raise error
