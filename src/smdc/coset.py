@@ -34,6 +34,7 @@ from .errors import (
     DecodeFailureError,
     InsufficientSharesError,
     ParameterError,
+    as_encoders,
     as_int,
 )
 from .fields import (FieldSpec, array_matmul, lagrange_rows, symbol_dtype,
@@ -138,10 +139,7 @@ def decode_blocks(spec: CosetCodeSpec, ids, *shares) -> np.ndarray:
     exactly when re-encoding its decoded key and message misses an
     extra share.
     """
-    ids = tuple(int(i) for i in ids)
-    for i in ids:
-        if not 1 <= i <= spec.length:
-            raise ParameterError(f"share index {i} out of range 1..{spec.length}")
+    ids = as_encoders(ids, spec.length)
     if len(set(ids)) != len(ids):
         raise ParameterError("duplicate share indices")
     if len(ids) < spec.threshold:

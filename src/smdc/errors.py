@@ -1,7 +1,10 @@
 """Exception types shared across the package, with the exit code of
-each, and the integer check that raises one."""
+each, and the one check of outside integers, exact rationals and
+encoder indices that raises one."""
 
+import numbers
 import operator
+from fractions import Fraction
 
 
 class SmdcError(Exception):
@@ -76,3 +79,25 @@ def as_int(value, what: str) -> int:
     except TypeError:
         raise ParameterError(
             f"{what} must be an integer, got {value!r}") from None
+
+
+def as_fraction(value, what: str) -> Fraction:
+    """`value` as a Fraction: an int, numpy integer or Fraction (any
+    numbers.Rational) passes; anything else raises ParameterError."""
+    if type(value) is Fraction:  # the common cases first, fast
+        return value
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, numbers.Rational):
+        return Fraction(int(value.numerator), int(value.denominator))
+    raise ParameterError(
+        f"{what} must be exact (int/Fraction), got {value!r}")
+
+
+def as_encoders(ids, length: int) -> tuple[int, ...]:
+    """Encoder indices as ints, in the order given, each in 1..length."""
+    ids = tuple(as_int(l, "encoder index") for l in ids)
+    for l in ids:
+        if not 1 <= l <= length:
+            raise ParameterError(f"encoder {l} out of range 1..{length}")
+    return ids

@@ -73,11 +73,6 @@ class FieldSpec:
     def kind(self) -> str:
         return BINARY8 if self.order == BINARY8_ORDER else PRIME
 
-    def _check(self, a: int) -> int:
-        if not 0 <= a < self.order:
-            raise ParameterError(f"{a} is not an element of {self}")
-        return a
-
     def add(self, a: int, b: int) -> int:
         if self.kind == PRIME:
             return (a + b) % self.order
@@ -179,13 +174,12 @@ GF256 = binary8_field()
 def vandermonde_array(spec: FieldSpec, nodes: Sequence[int], width: int) -> np.ndarray:
     """Vandermonde matrix as an int64 array, entry (i, j) = nodes[i] ** j,
     built one column at a time."""
-    vals = [spec._check(int(v)) for v in nodes]
-    if len(set(vals)) != len(vals):
+    column = as_symbols(spec, nodes).astype(np.int64)
+    if len(set(column.tolist())) != len(column):
         raise ParameterError("vandermonde nodes must be distinct")
     if width < 0:
         raise ParameterError("width must be nonnegative")
-    column = np.array(vals, dtype=np.int64)
-    out = np.ones((len(vals), width), dtype=np.int64)
+    out = np.ones((len(column), width), dtype=np.int64)
     for j in range(1, width):
         out[:, j] = _array_mul(spec, out[:, j - 1], column)
     return out
@@ -203,18 +197,27 @@ def symbol_dtype(order: int) -> type:
     raise ParameterError(f"no unsigned dtype holds symbols below {order}")
 
 
+def as_int_array(values, what: str) -> np.ndarray:
+    """np.asarray(values) if it holds integers or nothing (an empty list
+    is a float array); anything else raises ParameterError."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "biu":
+        raise ParameterError(f"{what} must be integers, got {arr.dtype}")
+    return arr
+
+
 def as_symbols(spec: FieldSpec, values) -> np.ndarray:
     """An array (1-D, or a batch of them) of field elements in the
     field's symbol dtype.
 
     Bytes-like input is read one symbol per byte without copying; any
-    other sequence is range-checked in one pass, unless its dtype holds
-    nothing but field elements (bytes over GF(2^8)).
+    other sequence must hold integers, range-checked in one pass unless
+    its dtype holds nothing but field elements (bytes over GF(2^8)).
     """
     if isinstance(values, (bytes, bytearray, memoryview)):
         arr = np.frombuffer(values, dtype=np.uint8)
     else:
-        arr = np.asarray(values)
+        arr = as_int_array(values, "symbols")
     if arr.ndim < 1:
         raise ParameterError("expected a sequence of symbols")
     if arr.size and not (arr.dtype.kind == "u"

@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 from .errors import ParameterError
-from .fields import symbol_dtype
+from .fields import as_int_array, symbol_dtype
 
 
 def _check_draw(q: int, n: int) -> None:
@@ -83,7 +83,7 @@ class SequenceSymbolSource:
     """
 
     def __init__(self, symbols):
-        arr = np.asarray(symbols, dtype=np.int64)
+        arr = as_int_array(symbols, "symbols").astype(np.int64, copy=False)
         self._symbols = arr if arr.ndim == 2 else arr.reshape(1, -1)
         self._pos = 0
 

@@ -26,7 +26,7 @@ from itertools import accumulate, combinations, product
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import ParameterError
+from .errors import ParameterError, as_fraction, as_int
 # bound only so that perfbench/spans.py can trace it; no runtime caller
 from .exactlp import solve_lp  # noqa: F401
 
@@ -34,9 +34,7 @@ _ZERO = Fraction(0)
 
 
 def _frac(v) -> Fraction:
-    if isinstance(v, float):
-        raise ParameterError("rates and entropies must be exact (int/Fraction)")
-    return Fraction(v)
+    return as_fraction(v, "rates and entropies")
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,7 @@ class LinExpr:
 
     @staticmethod
     def param(name: str, coeff=1) -> "LinExpr":
-        return LinExpr.make(0, {name: Fraction(coeff)})
+        return LinExpr.make(0, {name: coeff})
 
     @staticmethod
     def coerce(v) -> "LinExpr":
@@ -289,9 +287,11 @@ class InequalitySystem:
 
 # --- single-code regions ------------------------------------------------------
 
-def _check_lk(length: int, k: int):
+def _check_lk(length: int, k: int) -> tuple[int, int]:
+    length, k = as_int(length, "length"), as_int(k, "k")
     if not 1 <= k <= length:
         raise ParameterError(f"need 1 <= k <= L, got k={k}, L={length}")
+    return length, k
 
 
 def rate_var_names(length: int, prefix: str = "R") -> tuple[str, ...]:
@@ -301,7 +301,7 @@ def rate_var_names(length: int, prefix: str = "R") -> tuple[str, ...]:
 def region(length: int, k: int, entropy) -> InequalitySystem:
     """Rates admissible for one threshold code: every k-subset covers the
     source entropy, all rates nonnegative."""
-    _check_lk(length, k)
+    length, k = _check_lk(length, k)
     h = LinExpr.coerce(entropy)
     rows = []
     for i in range(length):
@@ -326,14 +326,14 @@ def violated_subsets(system: InequalitySystem, point: Sequence,
 def min_sum_rate(length: int, k: int, entropy):
     """Smallest achievable total rate, (L/k) * H: the combined region's
     minimum with entropy H on level k alone."""
-    _check_lk(length, k)
+    length, k = _check_lk(length, k)
     return smdc_min_sum_rate(length, length - k, _one_level(k, k, entropy))
 
 
 def corner_points(length: int, k: int, entropy) -> tuple[tuple[Fraction, ...], ...]:
     """Extreme points of region(L, k, H): the combined region's corners with
     entropy H on level k alone."""
-    _check_lk(length, k)
+    length, k = _check_lk(length, k)
     return superposition_corner_points(length, length - k, _one_level(k, k, entropy))
 
 
@@ -382,8 +382,9 @@ def _integer_row(vec) -> list[int]:
 
 # --- multilevel (superposed) regions ----------------------------------------------
 
-def _level_entropies(length: int, n_wiretap: int, entropies) -> list[LinExpr]:
-    """One nonnegative entropy per level k = 1..L-N (symbols by default)."""
+def _level_entropies(length: int, n_wiretap: int, entropies):
+    """L, and each level's nonnegative entropy (symbols by default)."""
+    length, n_wiretap = as_int(length, "length"), as_int(n_wiretap, "wiretap")
     if not 0 <= n_wiretap < length:
         raise ParameterError(f"need 0 <= N < L, got N={n_wiretap}, L={length}")
     k_count = length - n_wiretap
@@ -394,7 +395,7 @@ def _level_entropies(length: int, n_wiretap: int, entropies) -> list[LinExpr]:
         raise ParameterError(f"need {k_count} entropies, got {len(hs)}")
     if not all(h.provably_nonneg() for h in hs):
         raise ParameterError("entropies must be nonnegative")
-    return hs
+    return length, hs
 
 
 def _one_level(count: int, k: int, entropy) -> list:
@@ -504,7 +505,7 @@ def superposition_region(length: int, n_wiretap: int, entropies=None) -> Inequal
     """Total-rate region of the layered scheme, where source k has its own
     threshold-k code: for each facet normal alpha, one row per distinct
     permutation of alpha with bound sum_k g_k(alpha) * H_k."""
-    hs = _level_entropies(length, n_wiretap, entropies)
+    length, hs = _level_entropies(length, n_wiretap, entropies)
     levels = tuple(k for k, h in enumerate(hs, start=1) if h != LinExpr())
     rows = []
     for alpha, weights in _facet_orbits(length, levels):
@@ -524,11 +525,9 @@ def superposition_corner_points(length: int, n_wiretap: int,
     kept when the facets tight at them have full rank."""
     try:
         hs = [_frac(h) for h in entropies]
-    except ParameterError:
-        raise
-    except (TypeError, ValueError):
-        raise ParameterError("corner points need numeric entropies") from None
-    _level_entropies(length, n_wiretap, hs)
+    except (TypeError, ParameterError):
+        raise ParameterError("corner points need exact numeric entropies") from None
+    length = _level_entropies(length, n_wiretap, hs)[0]
     levels = tuple(k for k, h in enumerate(hs, start=1) if h)
     orbits = [(alpha, sum(hs[k - 1] * w for k, w in zip(levels, weights)))
               for alpha, weights in _facet_orbits(length, levels)]
@@ -565,6 +564,6 @@ def _tight_rows(x: Sequence[int], orbits) -> list[Sequence[int]]:
 def smdc_min_sum_rate(length: int, n_wiretap: int, entropies):
     """Minimum total rate of the layered scheme: sum over sources of
     (L/k) * H_k."""
-    hs = _level_entropies(length, n_wiretap, entropies)
+    length, hs = _level_entropies(length, n_wiretap, entropies)
     total = sum((h * Fraction(length, k) for k, h in enumerate(hs, start=1)), LinExpr())
     return total.constant_value() if total.is_constant else total

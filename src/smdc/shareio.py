@@ -26,8 +26,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (DecodeFailureError, ParameterError, ShareFormatError,
-                     as_int)
-from .fields import BINARY8, FieldSpec, _is_prime
+                     as_encoders, as_int)
+from .fields import BINARY8, GF256, FieldSpec, _is_prime, as_symbols
 from .multilevel import SmdcParams, decode, encode, plan
 
 MAGIC = b"SMDC"
@@ -114,7 +114,8 @@ class ShareFile:
     geometry needed to rebuild the code at join time.
 
     A payload is bytes, one byte per symbol as in the file body; the
-    constructor also accepts int sequences and uint8 arrays.
+    constructor also accepts int sequences and uint8 arrays.  It is the
+    one check of the header fields, which load_share relies on.
     """
 
     length: int
@@ -125,14 +126,15 @@ class ShareFile:
     payloads: tuple[bytes, ...]
 
     def __post_init__(self):
+        for name in ("length", "wiretap", "encoder"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         _check_geometry(self.length, self.wiretap)
-        if not 1 <= self.encoder <= self.length:
-            raise ParameterError(f"encoder {self.encoder} out of range")
+        as_encoders((self.encoder,), self.length)
         expected = self.length - self.wiretap
         if len(self.byte_lengths) != expected or len(self.payloads) != expected:
             raise ParameterError(f"need {expected} per-source entries")
-        object.__setattr__(self, "byte_lengths",
-                           tuple(int(v) for v in self.byte_lengths))
+        object.__setattr__(self, "byte_lengths", tuple(
+            as_int(v, "byte length") for v in self.byte_lengths))
         object.__setattr__(self, "payloads",
                            tuple(_payload_bytes(p) for p in self.payloads))
         # the header stores u32 symbol counts and u64 byte lengths
@@ -149,14 +151,10 @@ def _check_geometry(length: int, wiretap: int) -> None:
 
 
 def _payload_bytes(payload) -> bytes:
+    """One byte per symbol, each an element of GF(2^8), that is 0..255."""
     if isinstance(payload, bytes):
         return payload
-    if isinstance(payload, (bytearray, memoryview)):
-        return bytes(payload)
-    arr = np.asarray(payload)
-    if arr.size and (arr.min() < 0 or arr.max() > 255):
-        raise ParameterError("share symbols must fit in one byte")
-    return arr.astype(np.uint8).tobytes()
+    return as_symbols(GF256, payload).tobytes()
 
 
 def _largest_symbol(body: bytes, at: int = 0) -> int:
@@ -190,15 +188,7 @@ def load_share(blob: bytes) -> ShareFile:
         raise ShareFormatError("not a share file (bad magic)")
     if version != VERSION:
         raise ShareFormatError(f"unsupported share file version {version}")
-    if not 1 <= wiretap < length:
-        raise ShareFormatError(
-            f"inconsistent geometry: length {length}, wiretap {wiretap}")
-    if not 1 <= encoder <= length:
-        raise ShareFormatError(f"encoder index {encoder} out of range")
     field = field_from_id(fid)
-    if n_src != length - wiretap:
-        raise ShareFormatError(
-            f"expected {length - wiretap} sources, header says {n_src}")
     at = _HEAD.size
     need = n_src * 4 + n_src * 8
     if len(blob) < at + need:
@@ -217,8 +207,11 @@ def load_share(blob: bytes) -> ShareFile:
     for c in counts:
         payloads.append(blob[at:at + c])
         at += c
-    return ShareFile(length, wiretap, encoder, field,
-                     tuple(byte_lengths), tuple(payloads))
+    try:
+        return ShareFile(length, wiretap, encoder, field, byte_lengths,
+                         tuple(payloads))
+    except ParameterError as exc:
+        raise ShareFormatError(f"bad share header: {exc}") from None
 
 
 def write_share(path, share: ShareFile) -> None:
@@ -253,6 +246,7 @@ def split_files(field: FieldSpec, length: int, wiretap: int,
                 datas, source=None) -> list[ShareFile]:
     """Encode K = length - wiretap byte strings, priority order, into one
     ShareFile per encoder."""
+    field_to_id(field)
     _check_geometry(length, wiretap)
     if length >= max(field.order, MAX_PRIME_FIELD_ID):  # no share-file prime > L
         raise ParameterError(f"{field} supports at most {field.order - 1} "

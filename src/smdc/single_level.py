@@ -31,13 +31,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .coset import CosetCodeSpec, decode_blocks, encode_blocks
-from .errors import (
-    InsufficientSharesError,
-    ParameterError,
-    RegionViolationError,
-    SmdcError,
-    as_int,
-)
+from .errors import (InsufficientSharesError, ParameterError,
+                     RegionViolationError, SmdcError, as_encoders,
+                     as_fraction, as_int)
 from .fields import as_symbols, symbol_dtype
 from .randomness import as_symbol_source
 # Membership is decided by sorting (see _check_region); the explicit
@@ -99,14 +95,10 @@ class SsdcShareBundle:
 
 
 def _as_rates(params: CosetCodeSpec, rates) -> tuple[Fraction, ...]:
+    rates = tuple(as_fraction(r, "rate") for r in rates)
     if len(rates) != params.length:
         raise ParameterError(f"need {params.length} rates")
-    out = []
-    for r in rates:
-        if isinstance(r, float):
-            raise ParameterError("rates must be exact (int/Fraction)")
-        out.append(Fraction(r))
-    return tuple(out)
+    return rates
 
 
 def _check_region(params: CosetCodeSpec,
@@ -243,10 +235,7 @@ def decode(layout: BundleLayout, observed: Mapping[int, Sequence[int]]
     sliced from the payloads.
     """
     params = layout.params
-    present = sorted(int(l) for l in observed)
-    for l in present:
-        if not 1 <= l <= params.length:
-            raise ParameterError(f"encoder {l} out of range")
+    present = sorted(as_encoders(observed, params.length))
     if len(present) < params.threshold:
         raise InsufficientSharesError(
             f"reconstruction needs any {params.threshold} encoder outputs, "

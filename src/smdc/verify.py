@@ -34,7 +34,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import multilevel, single_level
-from .errors import BudgetExceededError, DecodeFailureError, ParameterError
+from .errors import (BudgetExceededError, DecodeFailureError, ParameterError,
+                     as_encoders, as_int)
 from .randomness import SequenceSymbolSource
 
 # --- exact log-combination values ---------------------------------------------
@@ -150,6 +151,12 @@ class CodeUnderTest:
     encode_fn: Callable[[tuple, np.ndarray], tuple]
     decode_fn: Callable[[dict], tuple]
     expected_sources: Callable[[int], int]
+
+    def __post_init__(self):
+        for name in ("q", "length", "wiretap", "key_symbols"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        object.__setattr__(self, "source_symbols", tuple(
+            as_int(v, "source symbols") for v in self.source_symbols))
 
     @property
     def outcome_count(self) -> int:
@@ -335,10 +342,7 @@ def check_perfect_secrecy(dist: JointDistribution, tapped) -> SecrecyReport:
     each run in order of first appearance, and the first failing cell in
     row-major order is the counterexample.
     """
-    tapped = tuple(sorted(set(int(l) for l in tapped)))
-    for l in tapped:
-        if not 1 <= l <= dist.length:
-            raise ParameterError(f"encoder {l} out of range")
+    tapped = tuple(sorted(set(as_encoders(tapped, dist.length))))
     sources = [f"S{k}" for k in range(1, len(dist.source_symbols) + 1)]
     taps = [f"X{l}" for l in tapped]
     src, src_first = _grouping(dist, sources)
@@ -383,7 +387,7 @@ def check_reconstruction(code: CodeUnderTest, dist: JointDistribution,
                          subset, expected: int | None = None) -> ReconstructionReport:
     """Decode every word from `subset` in one call; report the first
     word, in word order, whose leading sources come back wrong."""
-    subset = tuple(sorted(set(int(l) for l in subset)))
+    subset = tuple(sorted(set(as_encoders(subset, dist.length))))
     if expected is None:
         expected = code.expected_sources(len(subset))
     try:
@@ -413,9 +417,7 @@ def _batch(dist: JointDistribution, label: str):
             raise ParameterError(f"no source {label}")
         return dist.sources[idx - 1]
     if kind == "X":
-        if not 1 <= idx <= dist.length:
-            raise ParameterError(f"no encoder {label}")
-        return dist.shares[idx - 1]
+        return dist.shares[as_encoders((idx,), dist.length)[0] - 1]
     raise ParameterError(f"unknown variable {label!r}")
 
 
@@ -481,8 +483,8 @@ def check_prop2_inequality(dist: JointDistribution, level: int,
 
     with A the tapped set (size N) and D disjoint from A (size `level`).
     """
-    tapped = tuple(sorted(set(int(l) for l in tapped)))
-    checked = tuple(sorted(set(int(l) for l in checked)))
+    tapped = tuple(sorted(set(as_encoders(tapped, dist.length))))
+    checked = tuple(sorted(set(as_encoders(checked, dist.length))))
     if len(tapped) != dist.wiretap:
         raise ParameterError(
             f"tapped set must have exactly {dist.wiretap} encoders")
@@ -493,9 +495,6 @@ def check_prop2_inequality(dist: JointDistribution, level: int,
             f"checked set must have exactly {level} encoders for level {level}")
     if set(tapped) & set(checked):
         raise ParameterError("tapped and checked sets must be disjoint")
-    for l in tapped + checked:
-        if not 1 <= l <= dist.length:
-            raise ParameterError(f"encoder {l} out of range")
 
     d_labels = [f"X{l}" for l in checked]
     a_labels = [f"X{l}" for l in tapped]

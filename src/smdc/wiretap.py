@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Mapping
 
-from .errors import ParameterError
+from .errors import ParameterError, as_encoders, as_fraction, as_int
 
 SOURCE = "s"
 
@@ -33,21 +33,18 @@ class WiretapNetwork:
     rates: tuple[Fraction, ...]
 
     def __post_init__(self):
+        for name in ("length", "wiretap", "threshold"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if not 0 <= self.wiretap < self.threshold <= self.length:
             raise ParameterError(
                 f"need 0 <= wiretap < threshold <= length, got "
                 f"({self.length}, {self.wiretap}, {self.threshold})")
-        rates = []
-        for r in self.rates:
-            if isinstance(r, float):
-                raise ParameterError("rates must be exact (int/Fraction)")
-            r = Fraction(r)
-            if r < 0:
-                raise ParameterError("rates cannot be negative")
-            rates.append(r)
+        rates = tuple(as_fraction(r, "rate") for r in self.rates)
+        if any(r < 0 for r in rates):
+            raise ParameterError("rates cannot be negative")
         if len(rates) != self.length:
             raise ParameterError(f"need {self.length} rates")
-        object.__setattr__(self, "rates", tuple(rates))
+        object.__setattr__(self, "rates", rates)
 
     def encoder_node(self, l: int) -> str:
         return f"e{l}"
@@ -147,12 +144,9 @@ def mincut_to_wiretap(net: WiretapNetwork, tapped, via_flow: bool = False) -> Fr
 
 
 def _check_subset(net: WiretapNetwork, subset, size: int) -> tuple[int, ...]:
-    subset = tuple(sorted(int(l) for l in subset))
+    subset = tuple(sorted(as_encoders(subset, net.length)))
     if len(set(subset)) != len(subset):
         raise ParameterError("duplicate encoders in subset")
-    for l in subset:
-        if not 1 <= l <= net.length:
-            raise ParameterError(f"encoder {l} out of range")
     if len(subset) != size:
         raise ParameterError(f"subset must have exactly {size} encoders")
     return subset
@@ -176,9 +170,7 @@ def achievable_secrecy_rate(net: WiretapNetwork, via_flow: bool = False) -> Frac
 def admissible_by_separation(net: WiretapNetwork, entropy) -> bool:
     """Does the separation bound alone cover a source of this entropy?
     `secrecy_rate` gives the exact answer."""
-    if isinstance(entropy, float):
-        raise ParameterError("entropy must be exact (int/Fraction)")
-    return Fraction(entropy) <= achievable_secrecy_rate(net)
+    return as_fraction(entropy, "entropy") <= achievable_secrecy_rate(net)
 
 
 def export_edge_list(net: WiretapNetwork) -> str:
