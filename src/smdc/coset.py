@@ -12,15 +12,19 @@ encode_blocks and decode_blocks run it on arrays of blocks, one block
 per row; one block is a one-row array.  The caller draws the keys
 (single_level draws one stream per run of blocks).
 
-Decoding wants the message, never the key.  For a list of share ids,
-the first `threshold` of them fix the block: its coefficients are the
-interpolating polynomial of their values.  The decoder keeps only the
-k message rows of that interpolation, in closed form from the Lagrange
-basis of their nodes, and below them one row per extra id: the basis
-evaluated at the extra node, which predicts that share.  One kernel
-pass yields the message and the predictions; a block whose extra shares
-differ from their predictions raises DecodeFailureError, as
-re-encoding its decoded key and message would.
+Decoding wants the message, never the key.  The shares of a block at
+threshold m are the values, at their encoders' nodes, of a polynomial
+of degree below m, whose coefficients wiretap..m-1 are the message.  One
+interpolation on all u observed nodes recovers the coefficients, and the
+shares lie on a codeword exactly when those from m up are zero
+(McEliece and Sarwate, "On sharing secrets and Reed-Solomon codes",
+CACM 24(9), 1981).  The decoder keeps rows wiretap..u-1 of that
+interpolation, in closed form from the Lagrange basis of the nodes.
+They do not depend on m, so every level of a join that sees the same
+ids decodes through one cached matrix.  One kernel pass yields the
+message and the top coefficients; a block with a nonzero top
+coefficient raises DecodeFailureError, exactly when re-encoding its
+decoded key and message would miss a share.
 """
 
 from __future__ import annotations
@@ -81,8 +85,9 @@ class CosetCodeSpec:
 
 
 # The caches below are bounded: a process that joins from many different
-# share subsets would otherwise keep every decode matrix it ever built.  256
-# entries hold one solver per source level of any L the container allows.
+# share subsets would otherwise keep every decode matrix it ever built.  A
+# symmetric join needs one solver for all its levels, and an uneven layout
+# one per distinct active set among its runs.
 
 @lru_cache(maxsize=16)
 def _vandermonde(field: FieldSpec, length: int) -> np.ndarray:
@@ -95,13 +100,13 @@ def _vandermonde(field: FieldSpec, length: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _decode_solver(spec: CosetCodeSpec, ids: tuple[int, ...]) -> np.ndarray:
-    """Transposed decode rows for ids: the message rows of the inverse of
-    the first `threshold` ids' Vandermonde rows, then one prediction row
-    per extra id, the Lagrange basis of the first ones at its node."""
-    m = spec.threshold
-    rows = lagrange_rows(spec.field, ids[:m], spec.k, ids[m:]).T.astype(
-        symbol_dtype(spec.field.order))
+def _decode_solver(field: FieldSpec, wiretap: int,
+                   ids: tuple[int, ...]) -> np.ndarray:
+    """Transposed rows wiretap..u-1 of the inverse of the u ids' square
+    Vandermonde matrix: they map the ids' shares to the message and the
+    top coefficients of every threshold at once."""
+    rows = lagrange_rows(field, ids, len(ids) - wiretap).T.astype(
+        symbol_dtype(field.order))
     rows.flags.writeable = False
     return rows
 
@@ -131,13 +136,12 @@ def decode_blocks(spec: CosetCodeSpec, ids, *shares) -> np.ndarray:
 
     Share ids are 1-based, and the columns go to the kernel as they lie:
     views into the callers' payloads, or the columns of an (n, len(ids))
-    array, `*array.T`.  The first `threshold` columns are decoded, and
-    every column beyond them is predicted from the same ones, in the
-    same kernel pass: a block whose extra shares differ from their
-    predictions lies on no single codeword, and DecodeFailureError is
-    raised.  The prediction rows are E.V^-1, so a block fails here
-    exactly when re-encoding its decoded key and message misses an
-    extra share.
+    array, `*array.T`.  All columns are interpolated together, through
+    the matrix that every threshold shares for these ids: the first k
+    outputs are the message, and the rest are the block's coefficients
+    from `threshold` up.  A block with any of those nonzero lies on no
+    single codeword, and DecodeFailureError is raised; that happens
+    exactly when re-encoding its decoded key and message misses a share.
     """
     ids = as_encoders(ids, spec.length)
     if len(set(ids)) != len(ids):
@@ -150,10 +154,10 @@ def decode_blocks(spec: CosetCodeSpec, ids, *shares) -> np.ndarray:
     if len(shares) != len(ids) or any(
             c.shape != shares[0].shape or c.ndim != 1 for c in shares):
         raise ParameterError("share columns do not match the id list")
-    m, k = spec.threshold, spec.k
-    out = array_matmul(spec.field, shares[:m], _decode_solver(spec, ids))
-    if len(ids) > m and not np.array_equal(out[:, k:],
-                                           np.stack(shares[m:], axis=1)):
+    k = spec.k
+    out = array_matmul(spec.field, shares,
+                       _decode_solver(spec.field, spec.wiretap, ids))
+    if out[:, k:].any():
         raise DecodeFailureError(
             "shares are inconsistent with any single codeword")
     return out[:, :k]

@@ -3,8 +3,8 @@
 A field is named by its order q: a prime p <= 2^16, for GF(p), or 256,
 for GF(2^8) reduced by x^8 + x^4 + x^3 + x + 1 (0x11B).  All fields of
 one order are isomorphic, and a code's guarantees depend on q alone.
-Scalar arithmetic on plain ints goes through :class:`FieldSpec`, and all
-bulk block math uses the numpy helpers at the bottom of the module.
+:class:`FieldSpec` names the field, and all arithmetic runs on numpy
+arrays through the helpers below it.
 The block kernel `array_matmul` reduces GF(p) sums by floor division,
 x - (x // p) p: numpy divides 8- to 32-bit words by a scalar as a
 vectorized multiply and shift, but takes x % p one division per entry,
@@ -54,8 +54,7 @@ def _check_prime(p: int) -> None:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Identifies one finite field by its order and implements its
-    scalar arithmetic.
+    """Identifies one finite field by its order.
 
     ``order`` is a prime p <= 2^16, or 256 for GF(2^8); ``kind`` ("prime"
     or "binary8") follows from it.  Instances are value objects: two
@@ -72,49 +71,6 @@ class FieldSpec:
     @property
     def kind(self) -> str:
         return BINARY8 if self.order == BINARY8_ORDER else PRIME
-
-    def add(self, a: int, b: int) -> int:
-        if self.kind == PRIME:
-            return (a + b) % self.order
-        return a ^ b
-
-    def neg(self, a: int) -> int:
-        if self.kind == PRIME:
-            return (-a) % self.order
-        return a
-
-    def sub(self, a: int, b: int) -> int:
-        if self.kind == PRIME:
-            return (a - b) % self.order
-        return a ^ b
-
-    def mul(self, a: int, b: int) -> int:
-        if self.kind == PRIME:
-            return (a * b) % self.order
-        if a == 0 or b == 0:
-            return 0
-        exp, log = _binary8_tables()
-        return exp[log[a] + log[b]]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self.kind == PRIME:
-            return pow(a, -1, self.order)
-        exp, log = _binary8_tables()
-        return exp[255 - log[a]]
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
 
     def __repr__(self):
         if self.kind == PRIME:
@@ -276,28 +232,23 @@ def _nonzero_inv(spec: FieldSpec, x: np.ndarray) -> np.ndarray:
     return exp[255 - log[x]]
 
 
-def lagrange_rows(spec: FieldSpec, nodes: Sequence[int], top: int,
-                  points: Sequence[int] = ()) -> np.ndarray:
-    """Interpolation on distinct `nodes` x_0..x_{m-1}, in closed form.
-
-    Returns a (top + len(points), m) int64 array.  Its first `top` rows
-    are the last rows of V^-1, V the m x m Vandermonde matrix on the
-    nodes: row r maps the values at the nodes to the coefficient of
-    t^(m - top + r) of the interpolating polynomial.  The remaining rows
-    are E.V^-1 for the Vandermonde rows E of `points` (none a node): they
-    map the same values to the polynomial's values at the points.
+def lagrange_rows(spec: FieldSpec, nodes: Sequence[int], top: int
+                  ) -> np.ndarray:
+    """The last `top` rows of V^-1, V the m x m Vandermonde matrix on
+    distinct `nodes` x_0..x_{m-1}, in closed form, as a (top, m) int64
+    array: row r maps the values at the nodes to the coefficient of
+    t^(m - top + r) of the interpolating polynomial.
 
     Column i of V^-1 holds the coefficients of the Lagrange basis
     polynomial P(t) / ((t - x_i) P'(x_i)), P(t) = prod (t - x_r)
     (Traub 1966).  Synthetic division from the top gives the quotient's
     coefficients a_j + x_i q_j one degree down, so the top rows need
     only the top coefficients a_j of P: O(top.m) products.  The weights
-    1 / P'(x_i), and P(y) / (y - x_i) at each point y, are products of
-    node differences, vectorized over the nodes: sums of logs over
-    GF(2^8), running products and Fermat inverses over GF(p).
+    1 / P'(x_i) are products of node differences, vectorized over the
+    nodes: sums of logs over GF(2^8), running products and Fermat
+    inverses over GF(p).
     """
     x = np.array(nodes, dtype=np.int64)
-    y = np.array(points, dtype=np.int64)
     m = len(x)
     if not 0 <= top <= m:
         raise ParameterError("lagrange_rows takes 0..m top rows")
@@ -309,17 +260,12 @@ def lagrange_rows(spec: FieldSpec, nodes: Sequence[int], top: int,
     a[:1] = 1
     for v in x:
         a[1:] = _array_sub(spec, a[1:], _array_mul(spec, a[:-1], v))
-    rows = np.empty((top + len(y), m), dtype=np.int64)
+    rows = np.empty((top, m), dtype=np.int64)
     q = np.ones(m, dtype=np.int64)  # quotient coefficient of t^(m-1)
     for r in range(top - 1, -1, -1):
         rows[r] = _array_mul(spec, q, weights)
         if r:
             q = _array_add(spec, _array_mul(spec, q, x), a[top - r])
-    if len(y):
-        at = _array_sub(spec, y[:, None], x[None, :])
-        rows[top:] = _array_mul(spec, _nonzero_prod(spec, at)[:, None],
-                                _array_mul(spec, _nonzero_inv(spec, at),
-                                           weights))
     return rows
 
 

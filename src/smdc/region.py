@@ -274,15 +274,28 @@ class InequalitySystem:
 
     @staticmethod
     def from_json_dict(data: dict) -> "InequalitySystem":
+        """The system that to_json_dict wrote.  Any other shape, or a
+        fraction that is not two integers over a nonzero denominator,
+        raises ParameterError."""
         def frac(v):
-            return Fraction(v[0], v[1])
+            if not isinstance(v, (list, tuple)) or len(v) != 2:
+                raise ParameterError(f"a fraction is a [numerator, "
+                                     f"denominator] pair, got {v!r}")
+            num, den = as_int(v[0], "numerator"), as_int(v[1], "denominator")
+            if den == 0:
+                raise ParameterError(f"fraction {v!r} has a zero denominator")
+            return Fraction(num, den)
 
-        rows = []
-        for row in data["rows"]:
-            bound = LinExpr.make(frac(row["bound"]["const"]),
-                                 {n: frac(c) for n, c in row["bound"]["terms"].items()})
-            rows.append(Inequality(tuple(frac(c) for c in row["coeffs"]), bound))
-        return InequalitySystem.make(data["variables"], rows)
+        try:
+            rows = [Inequality(tuple(frac(c) for c in row["coeffs"]),
+                               LinExpr.make(frac(row["bound"]["const"]),
+                                            {n: frac(c) for n, c in
+                                             row["bound"]["terms"].items()}))
+                    for row in data["rows"]]
+            return InequalitySystem.make(data["variables"], rows)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ParameterError(
+                f"malformed inequality system: {exc!r}") from None
 
 
 # --- single-code regions ------------------------------------------------------

@@ -230,9 +230,10 @@ def decode(layout: BundleLayout, observed: Mapping[int, Sequence[int]]
 
     Payloads may be int sequences, arrays or bytes (one symbol per byte),
     or batches of shape (..., emitted) that share their leading axes; the
-    result then has shape (..., h).  Payloads beyond the threshold join
-    the consistency check.  Each run is one block decode over columns
-    sliced from the payloads.
+    result then has shape (..., h).  Each run is one block decode over
+    columns sliced from every payload present, beyond the threshold too:
+    a block whose interpolated coefficients from the run's threshold up
+    are not all zero lies on no codeword, and raises DecodeFailureError.
     """
     params = layout.params
     present = sorted(as_encoders(observed, params.length))

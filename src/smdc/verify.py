@@ -23,6 +23,7 @@ the float agrees with the exact value to 1e-12.
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -409,16 +410,20 @@ def check_reconstruction(code: CodeUnderTest, dist: JointDistribution,
 # --- entropies ------------------------------------------------------------------
 
 
+_LABEL = re.compile(r"([SX])([0-9]+)")
+
+
 def _batch(dist: JointDistribution, label: str):
-    """The word-order batch of variable S<k> or X<l>."""
-    kind, idx = label[0], int(label[1:])
+    """The word-order batch of variable S<k> or X<l>, k and l decimal."""
+    match = _LABEL.fullmatch(label) if isinstance(label, str) else None
+    if match is None:
+        raise ParameterError(f"unknown variable {label!r}")
+    kind, idx = match[1], int(match[2])
     if kind == "S":
         if not 1 <= idx <= len(dist.source_symbols):
             raise ParameterError(f"no source {label}")
         return dist.sources[idx - 1]
-    if kind == "X":
-        return dist.shares[as_encoders((idx,), dist.length)[0] - 1]
-    raise ParameterError(f"unknown variable {label!r}")
+    return dist.shares[as_encoders((idx,), dist.length)[0] - 1]
 
 
 @dataclass(frozen=True)

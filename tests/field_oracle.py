@@ -1,11 +1,12 @@
-"""Test oracles for the field's linear algebra, which knows nothing of
-Vandermonde structure.
+"""Test oracles for the field's arithmetic: scalar operations on plain
+ints, and linear algebra that knows nothing of Vandermonde structure.
 
-`coset` decodes through `smdc.fields.lagrange_rows`, which builds only
-the rows of a Vandermonde inverse that it needs.  The tests compare those
-rows with the ones taken from the Gauss-Jordan inverse here, and check
-the threshold property of the generators with the scalar solver and rank
-on plain ints.
+The package computes on arrays only; the scalar operations here check
+its kernels entry by entry.  `coset` decodes through
+`smdc.fields.lagrange_rows`, which builds only the rows of a Vandermonde
+inverse that it needs.  The tests compare those rows with the ones taken
+from the Gauss-Jordan inverse here, and check the threshold property of
+the generators with the scalar solver and rank on plain ints.
 """
 
 from typing import Sequence
@@ -14,7 +15,56 @@ import numpy as np
 
 from smdc.errors import ParameterError
 from smdc.fields import (PRIME, FieldSpec, _array_mul, _binary8_mul_table,
-                         symbol_dtype)
+                         _binary8_tables, symbol_dtype)
+
+
+def add(spec: FieldSpec, a: int, b: int) -> int:
+    if spec.kind == PRIME:
+        return (a + b) % spec.order
+    return a ^ b
+
+
+def neg(spec: FieldSpec, a: int) -> int:
+    if spec.kind == PRIME:
+        return (-a) % spec.order
+    return a
+
+
+def sub(spec: FieldSpec, a: int, b: int) -> int:
+    if spec.kind == PRIME:
+        return (a - b) % spec.order
+    return a ^ b
+
+
+def mul(spec: FieldSpec, a: int, b: int) -> int:
+    if spec.kind == PRIME:
+        return (a * b) % spec.order
+    if a == 0 or b == 0:
+        return 0
+    exp, log = _binary8_tables()
+    return exp[log[a] + log[b]]
+
+
+def inv(spec: FieldSpec, a: int) -> int:
+    if a == 0:
+        raise ZeroDivisionError("0 has no multiplicative inverse")
+    if spec.kind == PRIME:
+        return pow(a, -1, spec.order)
+    exp, log = _binary8_tables()
+    return exp[255 - log[a]]
+
+
+def power(spec: FieldSpec, a: int, e: int) -> int:
+    """a^e by square and multiply; a negative e inverts a first."""
+    if e < 0:
+        return power(spec, inv(spec, a), -e)
+    out = 1
+    while e:
+        if e & 1:
+            out = mul(spec, out, a)
+        a = mul(spec, a, a)
+        e >>= 1
+    return out
 
 
 class SingularMatrixError(ArithmeticError):
@@ -43,12 +93,12 @@ def solve_linear_int(spec: FieldSpec, a: Sequence[Sequence[int]],
         if pivot is None:
             raise SingularMatrixError(f"matrix is singular at column {col}")
         m[col], m[pivot] = m[pivot], m[col]
-        inv = spec.inv(m[col][col])
-        m[col] = [spec.mul(inv, v) for v in m[col]]
+        scale = inv(spec, m[col][col])
+        m[col] = [mul(spec, scale, v) for v in m[col]]
         for r in range(n):
             if r != col and m[r][col] != 0:
                 f = m[r][col]
-                m[r] = [spec.sub(v, spec.mul(f, w)) for v, w in zip(m[r], m[col])]
+                m[r] = [sub(spec, v, mul(spec, f, w)) for v, w in zip(m[r], m[col])]
     return [m[r][n] for r in range(n)]
 
 
@@ -67,12 +117,12 @@ def matrix_rank(spec: FieldSpec, a: Sequence[Sequence[int]]) -> int:
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = spec.inv(m[rank][col])
-        m[rank] = [spec.mul(inv, v) for v in m[rank]]
+        scale = inv(spec, m[rank][col])
+        m[rank] = [mul(spec, scale, v) for v in m[rank]]
         for r in range(rows):
             if r != rank and m[r][col] != 0:
                 f = m[r][col]
-                m[r] = [spec.sub(v, spec.mul(f, w)) for v, w in zip(m[r], m[rank])]
+                m[r] = [sub(spec, v, mul(spec, f, w)) for v, w in zip(m[r], m[rank])]
         rank += 1
         if rank == rows:
             break
@@ -96,7 +146,7 @@ def matrix_inverse(spec: FieldSpec, a) -> np.ndarray:
             raise SingularMatrixError(f"matrix is singular at column {col}")
         pivot = col + int(nonzero[0])
         m[[col, pivot]] = m[[pivot, col]]
-        m[col] = _array_mul(spec, m[col], spec.inv(int(m[col, col])))
+        m[col] = _array_mul(spec, m[col], inv(spec, int(m[col, col])))
         factors = m[:, col].copy()
         factors[col] = 0
         if spec.kind == PRIME:

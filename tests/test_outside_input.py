@@ -5,10 +5,12 @@ Integers are Python or numpy integers, exact rationals are int or
 Fraction (any numbers.Rational), encoder indices lie in 1..L, and
 symbols are integer arrays.  Floats, strings and None are refused
 wherever one of these is asked for; nothing is truncated or read as
-another encoder.
+another encoder.  A fraction in a region's JSON is two integers over a
+nonzero denominator, and a variable label is S or X and decimal digits.
 """
 
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,14 +22,15 @@ from smdc.errors import (ParameterError, ShareFormatError, as_encoders,
                          as_fraction)
 from smdc.fields import GF5, as_symbols, prime_field, vandermonde_array
 from smdc.randomness import SequenceSymbolSource
-from smdc.region import (LinExpr, corner_points, min_sum_rate, region,
-                         smdc_min_sum_rate, superposition_corner_points,
-                         superposition_region)
+from smdc.region import (InequalitySystem, LinExpr, corner_points,
+                         min_sum_rate, region, smdc_min_sum_rate,
+                         superposition_corner_points, superposition_region)
 from smdc.shareio import (ShareFile, dump_share, join_files, load_share,
                           split_files)
 from smdc.verify import (CodeUnderTest, check_perfect_secrecy,
                          check_prop2_inequality, check_reconstruction,
-                         code_for_layout, enumerate_joint)
+                         code_for_layout, conditional_entropy,
+                         enumerate_joint)
 from smdc.wiretap import (WiretapNetwork, admissible_by_separation,
                           mincut_to_user, mincut_to_wiretap)
 
@@ -60,6 +63,20 @@ BAD_RATES = [0.5, np.float32(0.5), None, "1/2", "x", Decimal(1)]
 BAD_ENTROPIES = [0.5, np.float32(0.5), None]  # a string names a symbol
 BAD_ENCODERS = [0, 4, 1.5]                    # L = 3 unless said
 BAD_INTS = [3.0, 2.5, np.float64(3)]
+BAD_FRACTIONS = [[0.5, 1], ["1", 2], [1, 0], [1], 3]
+BAD_LABELS = ["X1.5", "S", " X1", "", "X+1", "X1 ", 1, None]
+
+
+def _from_json(coeff=None, drop=None):
+    """region(2, 1, 1) read back from its JSON, with the first row's
+    first coefficient replaced by `coeff`, or its key `drop` removed."""
+    data = region(2, 1, 1).to_json_dict()
+    row = data["rows"][0]
+    if coeff is not None:
+        row["coeffs"][0] = coeff
+    if drop is not None:
+        del row[drop]
+    return InequalitySystem.from_json_dict(data)
 
 
 def _payloads(encoders):
@@ -86,6 +103,8 @@ CASES = {
     "superposition_corner_points": (BAD_ENTROPIES, lambda v:
                                     superposition_corner_points(
                                         3, 1, [1, v])),
+    "from_json_dict.coeffs": (BAD_FRACTIONS, lambda v: _from_json(coeff=v)),
+    "from_json_dict.row": (["bound", "coeffs"], lambda v: _from_json(drop=v)),
     # encoder indices
     "decode_blocks": (BAD_ENCODERS, lambda v: decode_blocks(
         SPEC, [v, 2], np.zeros(1, np.uint8), np.zeros(1, np.uint8))),
@@ -130,6 +149,9 @@ CASES = {
                              SequenceSymbolSource([v - 1.3, 2])),
     "vandermonde_array": (BAD_INTS, lambda v:
                           vandermonde_array(GF5, [v - 1.5, 2], 2)),
+    # variable labels: S or X, then decimal digits
+    "conditional_entropy.targets": (BAD_LABELS, lambda v:
+                                    conditional_entropy(LAYOUT_DIST, [v])),
 }
 
 
@@ -152,6 +174,8 @@ def test_numpy_integers_pass_as_python_ints():
     net = WiretapNetwork(np.int64(3), np.int8(1), 2, (1, 1, np.uint8(1)))
     assert net == NET and type(net.length) is int
     assert hand_code(q=np.int64(3)).q == 3
+    assert _from_json(coeff=(np.int64(2), 4)).rows[0].coeffs[0] == \
+        Fraction(1, 2)
 
 
 def test_reconstruction_reads_no_encoder_outside_the_code():

@@ -6,10 +6,12 @@ below, independent of the writer.
 
 import os
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from smdc import coset
 from smdc.errors import (DecodeFailureError, InsufficientSharesError,
                          ParameterError, ShareFormatError)
 from smdc.fields import GF5, _is_prime, binary8_field, prime_field
@@ -310,3 +312,30 @@ def test_join_at_the_largest_length():
     assert join_files(shares) == datas
     subset = sorted(random.Random(255).sample(range(255), 4))
     assert join_files([shares[i] for i in subset]) == datas[:1]
+
+
+def test_every_level_of_a_join_decodes_through_one_matrix():
+    # all ten shares of a (10,3) split: seven levels, one id set, so one
+    # set of decode rows serves every level
+    shares = split_files(binary8_field(), 10, 3,
+                         [bytes([k, k + 1]) for k in range(7)], source=10)
+    coset._decode_solver.cache_clear()
+    assert len(join_files(shares)) == 7
+    assert coset._decode_solver.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("level", range(1, 13))
+def test_a_tampered_symbol_fails_the_join_at_every_checked_level(level):
+    # (16,3): level k has threshold 3 + k, so all 16 shares leave
+    # 13 - k redundant ones, and level 13 none (README says so)
+    datas = [bytes([k, 2 * k + 1]) for k in range(13)]
+    shares = split_files(binary8_field(), 16, 3, datas, source=16)
+    rng = random.Random(level)
+    victim = rng.randrange(16)
+    payloads = list(shares[victim].payloads)
+    body = bytearray(payloads[level - 1])
+    body[rng.randrange(len(body))] ^= 1 + rng.randrange(255)
+    payloads[level - 1] = bytes(body)
+    shares[victim] = replace(shares[victim], payloads=tuple(payloads))
+    with pytest.raises(DecodeFailureError):
+        join_files(shares)
