@@ -121,6 +121,9 @@ def decode(layout: SmdcLayout,
     """Sources 1..(|U| - N) from the payloads of an encoder subset U:
     observed[encoder] holds one symbol sequence per source."""
     params = layout.params
+    for l, parts in observed.items():
+        if not hasattr(parts, "__len__") or len(parts) != params.source_count:
+            raise ParameterError(f"encoder {l} needs {params.source_count} payloads")
     depth = min(len(observed) - params.wiretap, params.source_count)
     if depth < 1:
         raise InsufficientSharesError(

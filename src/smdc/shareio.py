@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import (DecodeFailureError, ParameterError, ShareFormatError,
                      as_encoders, as_int)
-from .fields import BINARY8, GF256, FieldSpec, _is_prime, as_symbols
+from .fields import (BINARY8, GF256, FieldSpec, _is_prime, as_int_array,
+                     as_symbols)
 from .multilevel import SmdcParams, decode, encode, plan
 
 MAGIC = b"SMDC"
@@ -89,8 +90,7 @@ def symbols_to_bytes(field: FieldSpec, symbols, n_bytes: int) -> bytes:
     any other input.
     """
     t = symbols_per_byte(field)
-    digits = symbols if isinstance(symbols, np.ndarray) else np.asarray(
-        symbols, dtype=np.int64)
+    digits = as_int_array(symbols, "symbols")
     if len(digits) != n_bytes * t:
         raise DecodeFailureError(
             f"expected {n_bytes * t} recovered symbols, got {len(digits)}")

@@ -7,7 +7,9 @@ source-to-encoder edges.  The secrecy rate the network supports is each
 user's cut less the strongest tap inside it, at the weakest user: the
 sum of the threshold - wiretap smallest rates, as in the single-level
 region.  With one source symbol per unit entropy every cut is a plain
-rate sum, and the max-flow computation is kept as an independent check.
+rate sum.  The max-flow computation is kept as an independent check,
+each cut's flow on that cut's own network: the source, the L encoders
+and one sink.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from typing import Iterator, Mapping
 from .errors import ParameterError, as_encoders, as_fraction, as_int
 
 SOURCE = "s"
-
-# capacity None = unbounded edge
 
 
 @dataclass(frozen=True)
@@ -60,16 +60,21 @@ class WiretapNetwork:
 
     def build(self) -> dict[str, dict[str, Fraction | None]]:
         """Adjacency map with Fraction capacities (None = unbounded)."""
-        graph: dict[str, dict[str, Fraction | None]] = {SOURCE: {}}
-        for l in range(1, self.length + 1):
-            graph[SOURCE][self.encoder_node(l)] = self.rates[l - 1]
-            graph[self.encoder_node(l)] = {}
-        for subset in self.users():
-            user = self.user_node(subset)
-            graph[user] = {}
-            for l in subset:
-                graph[self.encoder_node(l)][user] = None
-        return graph
+        return _network(self, {self.user_node(u): u for u in self.users()})
+
+
+def _network(net: WiretapNetwork, sinks: Mapping[str, tuple[int, ...]]):
+    """The source, the L encoders, and each sink fed by unbounded edges
+    from its encoder subset."""
+    graph: dict[str, dict[str, Fraction | None]] = {SOURCE: {}}
+    for l in range(1, net.length + 1):
+        graph[SOURCE][net.encoder_node(l)] = net.rates[l - 1]
+        graph[net.encoder_node(l)] = {}
+    for sink, subset in sinks.items():
+        graph[sink] = {}
+        for l in subset:
+            graph[net.encoder_node(l)][sink] = None
+    return graph
 
 
 def _residual(graph: Mapping[str, Mapping[str, Fraction | None]]):
@@ -123,33 +128,27 @@ def max_flow(graph: Mapping[str, Mapping[str, Fraction | None]],
 
 def mincut_to_user(net: WiretapNetwork, subset, via_flow: bool = False) -> Fraction:
     """Cut between the source and the user reading encoder `subset`."""
-    subset = _check_subset(net, subset, net.threshold)
-    if via_flow:
-        return max_flow(net.build(), SOURCE, net.user_node(subset))
-    return sum((net.rates[l - 1] for l in subset), Fraction(0))
+    return _cut(net, subset, net.threshold, via_flow)
 
 
 def mincut_to_wiretap(net: WiretapNetwork, tapped, via_flow: bool = False) -> Fraction:
     """Cut between the source and an adversary tapping the source edges
     into `tapped`."""
-    tapped = _check_subset(net, tapped, net.wiretap)
-    if via_flow:
-        graph = net.build()
-        sink = "t_adversary"
-        graph[sink] = {}
-        for l in tapped:
-            graph[net.encoder_node(l)][sink] = None
-        return max_flow(graph, SOURCE, sink)
-    return sum((net.rates[l - 1] for l in tapped), Fraction(0))
+    return _cut(net, tapped, net.wiretap, via_flow)
 
 
-def _check_subset(net: WiretapNetwork, subset, size: int) -> tuple[int, ...]:
+def _cut(net: WiretapNetwork, subset, size: int, via_flow: bool) -> Fraction:
+    """The rate sum over `subset`, or with `via_flow` the max flow to one
+    sink fed by it on L + 2 nodes.  User nodes have no out-edges, so this
+    is the flow to that user (or tap) in the whole network."""
     subset = tuple(sorted(as_encoders(subset, net.length)))
     if len(set(subset)) != len(subset):
         raise ParameterError("duplicate encoders in subset")
     if len(subset) != size:
         raise ParameterError(f"subset must have exactly {size} encoders")
-    return subset
+    if via_flow:
+        return max_flow(_network(net, {"t": subset}), SOURCE, "t")
+    return sum((net.rates[l - 1] for l in subset), Fraction(0))
 
 
 def secrecy_rate(net: WiretapNetwork) -> Fraction:
@@ -161,9 +160,8 @@ def achievable_secrecy_rate(net: WiretapNetwork, via_flow: bool = False) -> Frac
     """Separation bound: smallest user cut minus largest adversary cut;
     below `secrecy_rate` when the rates are uneven, and may be negative."""
     user_min = min(mincut_to_user(net, u, via_flow) for u in net.users())
-    taps = list(net.wiretap_sets())
-    tap_max = max((mincut_to_wiretap(net, a, via_flow) for a in taps),
-                  default=Fraction(0))
+    tap_max = max((mincut_to_wiretap(net, a, via_flow)
+                   for a in net.wiretap_sets()), default=Fraction(0))
     return user_min - tap_max
 
 
@@ -176,10 +174,7 @@ def admissible_by_separation(net: WiretapNetwork, entropy) -> bool:
 def export_edge_list(net: WiretapNetwork) -> str:
     """One line per edge: tail head capacity (capacity `inf` when
     unbounded), deterministic order."""
-    lines = []
     graph = net.build()
-    for tail in sorted(graph):
-        for head in sorted(graph[tail]):
-            cap = graph[tail][head]
-            lines.append(f"{tail} {head} {'inf' if cap is None else cap}")
-    return "\n".join(lines)
+    return "\n".join(f"{tail} {head} {'inf' if cap is None else cap}"
+                     for tail in sorted(graph)
+                     for head, cap in sorted(graph[tail].items()))

@@ -21,6 +21,7 @@ from smdc.coset import CosetCodeSpec, decode_blocks
 from smdc.errors import (ParameterError, ShareFormatError, as_encoders,
                          as_fraction)
 from smdc.fields import GF5, as_symbols, prime_field, vandermonde_array
+from smdc.multilevel import SmdcParams, decode, encode, plan
 from smdc.randomness import SequenceSymbolSource
 from smdc.region import (InequalitySystem, LinExpr, corner_points,
                          min_sum_rate, region, smdc_min_sum_rate,
@@ -84,6 +85,17 @@ def _payloads(encoders):
     return {e: bundle.payloads[2] for e in encoders}
 
 
+ML_LAYOUT = plan(SmdcParams(GF5, 3, 1, (1, 2)))
+ML_PAYLOADS = encode(ML_LAYOUT, ([1], [2, 3]), source=1).payloads
+
+
+def _ml_observed(kind):
+    """Every encoder's entry of a two-source (3,1) split cut to its first
+    payload ("short"), or replaced by an integer ("int")."""
+    return {l: ML_PAYLOADS[l][:1] if kind == "short" else l + 4
+            for l in (1, 2, 3)}
+
+
 CASES = {
     # exact rationals
     "rate_layout": (BAD_RATES, lambda v: single_level.rate_layout(
@@ -122,6 +134,9 @@ CASES = {
                                                       (v,), (2,))),
     "ShareFile.encoder": (BAD_ENCODERS, lambda v: ShareFile(
         3, 1, v, GF5, (1, 1), (b"\x00", b"\x00"))),
+    # one sequence of K payloads per encoder
+    "smdc_decode": (["short", "int"], lambda v: decode(
+        ML_LAYOUT, _ml_observed(v))),
     # integer shapes
     "region.length": (BAD_INTS, lambda v: region(v, 2, 1)),
     "min_sum_rate.k": (BAD_INTS, lambda v: min_sum_rate(4, v - 1, 1)),

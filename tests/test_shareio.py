@@ -93,6 +93,13 @@ def test_byte_symbol_conversion_frozen_cases():
     assert symbols_to_bytes(GF5, [0, 4, 0, 4], 1) == b"h"
 
 
+@pytest.mark.parametrize("symbols", [[1.5, 2, 3, 4], np.array([0., 4, 0, 4])])
+def test_symbols_to_bytes_refuses_floats(symbols):
+    # int() would truncate [1.5, 2, 3, 4] to the byte 0xc2
+    with pytest.raises(ParameterError, match="symbols must be integers"):
+        symbols_to_bytes(GF5, symbols, 1)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 17, 251])
 def test_byte_symbol_round_trip(p):
     field = prime_field(p)

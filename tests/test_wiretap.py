@@ -5,6 +5,8 @@ from itertools import combinations
 
 import pytest
 
+from smdc import wiretap
+from smdc.cli import EXIT_OK, EXIT_USAGE, entry
 from smdc.errors import ParameterError
 from smdc.wiretap import (
     SOURCE,
@@ -134,3 +136,33 @@ def test_subset_validation():
         mincut_to_wiretap(net, (1, 2))
     with pytest.raises(ParameterError):
         mincut_to_user(net, (1, 9))
+
+
+WN_L7_FLOW = ["wn", "--L", "7", "--N", "2", "--m", "5",
+              "--rates", "1,1,1,1,1,1,1", "--entropy", "2", "--flow"]
+
+
+def test_every_flow_runs_on_the_source_the_encoders_and_one_sink(
+        monkeypatch, capsys):
+    sizes = []
+
+    def counted(graph, source, sink):
+        sizes.append(len(graph))
+        return max_flow(graph, source, sink)
+
+    monkeypatch.setattr(wiretap, "max_flow", counted)
+    assert entry(WN_L7_FLOW) == EXIT_OK
+    capsys.readouterr()
+    # C(7, 5) user cuts and C(7, 2) tap cuts, each on L + 2 = 9 nodes
+    assert len(sizes) == 21 + 21
+    assert set(sizes) == {9}
+
+
+def test_wn_flow_exits_2_when_a_flow_disagrees_with_its_cut(
+        monkeypatch, capsys):
+    monkeypatch.setattr(wiretap, "max_flow",
+                        lambda graph, source, sink: F(-1))
+    assert entry(WN_L7_FLOW) == EXIT_USAGE == 2
+    captured = capsys.readouterr()
+    assert "flow disagrees" in captured.err
+    assert captured.out == ""
