@@ -1,34 +1,40 @@
 """Exhaustive verification of small code instances.
 
 The verifier enumerates every (source, key) combination of a code,
-pushing them through its encoder in batches of words (for the package's
-own codes, the shipped array codec that writes share files), keeps the
-batches in word order as the exact joint distribution, takes integer
-counts over a common denominator by grouping words of equal value, and
-then decides statements about it with no floating point in the decision
-path.  Each variable set is grouped once per distribution and memoized;
-a compound set is grouped from its parts' group ids, and wherever the
-packed values are dense the grouping is a table lookup, with no sort:
+pushing them through its encoder in chunks of words (for the package's
+own codes, the shipped array codec that writes share files), and keeps
+the batches in word order as the exact joint distribution.  Each
+variable, a source or a share, is packed once into one int64 key per
+word; a set of variables is the mixed-radix product of its members'
+keys, and a pair of sets is one table of integer counts over a common
+denominator, counted in a span-sized array where the keys are dense and
+by a sort elsewhere.  Statements about the distribution are decided with
+no floating point in the decision path:
 
 * perfect secrecy against a tap subset is exact factorization of the
-  joint distribution of (sources, tapped shares);
+  joint distribution of (sources, tapped shares), read off the count
+  table that the tap set's conditional entropy then reuses;
 * reconstruction is decode equality on every outcome;
 * entropy inequalities are decided by comparing products of prime
   powers, since every entropy here is a rational combination of logs
   of integers.
 
 Floats appear only as reporting conveniences, each carrying a flag that
-the float agrees with the exact value to 1e-12.
+the float agrees with the exact value to 1e-12.  Word order (first
+appearance) is computed only where an output reads it: a secrecy
+counterexample, and the float of an entropy whose cells add unequal
+terms.
 """
 
 from __future__ import annotations
 
+import numbers
 import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 from math import comb, lcm, log2
 from typing import Callable, Mapping, Sequence
 
@@ -37,6 +43,7 @@ import numpy as np
 from . import multilevel, single_level
 from .errors import (BudgetExceededError, DecodeFailureError, ParameterError,
                      as_encoders, as_int)
+from .fields import as_int_array
 from .randomness import SequenceSymbolSource
 
 # --- exact log-combination values ---------------------------------------------
@@ -129,6 +136,16 @@ class VerifierBudget:
     max_outcomes: int = 250_000
     max_seconds: float | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "max_outcomes",
+                           as_int(self.max_outcomes, "max_outcomes"))
+        seconds = self.max_seconds
+        if seconds is not None and not (isinstance(seconds, numbers.Real)
+                                        and seconds >= 0):
+            raise ParameterError(
+                f"max_seconds must be None or a non-negative real, "
+                f"got {seconds!r}")
+
 
 @dataclass(frozen=True)
 class CodeUnderTest:
@@ -170,7 +187,8 @@ class JointDistribution:
 
     `sources` and `shares` keep the batches of every word, in word
     order, in the shapes encode_fn takes and returns; an outcome's count
-    is the number of words that carry it.
+    is the number of words that carry it.  Each variable is packed once,
+    on construction, into one int64 key per word (_pack).
     """
 
     q: int
@@ -180,14 +198,26 @@ class JointDistribution:
     total: int
     sources: tuple
     shares: tuple
-    # groupings of recently used variable sets, by label set (_grouping)
-    _groupings: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
+    # (key, span) of every variable, by label: S1.., then X1..
+    _keys: dict = field(init=False, repr=False, compare=False)
+    # one slot: the last _Table counted, with its (given, targets) sets
+    _last_table: list = field(default_factory=lambda: [(None, None)],
+                              init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        keys = {}
+        for kind, batches in (("S", self.sources), ("X", self.shares)):
+            for i, batch in enumerate(batches, 1):
+                label = f"{kind}{i}"
+                keys[label] = _pack(batch, self.total, f"variable {label}")
+        object.__setattr__(self, "_keys", keys)
 
 
-# Words per encode_fn call: big enough that a call costs little per word,
-# small enough that the codec's temporaries stay a few MB.
-CHUNK_WORDS = 4096
+# Words per encode_fn call at most, unless q alone is larger: a chunk is
+# q ** j words for the largest such j, at least 1.  Big enough that a
+# call costs little per word, small enough that the digits and the
+# codec's temporaries stay a few MB.
+CHUNK_WORDS = 1 << 16
 
 
 def _word(batch, i: int):
@@ -204,15 +234,22 @@ def _concat(chunks: list):
     return np.concatenate(chunks)
 
 
-def _columns(batch) -> list:
-    """The (W,) columns of a (W, n) batch or of a tuple nesting such."""
+def _columns(batch, words: int, what: str) -> list:
+    """The (words,) int64 columns of a (words, n) batch or of a tuple
+    nesting such; any other shape, or anything but integers, raises
+    ParameterError."""
     if isinstance(batch, tuple):
-        return [column for part in batch for column in _columns(part)]
-    return list(np.asarray(batch, dtype=np.int64).T)
+        return [column for part in batch
+                for column in _columns(part, words, what)]
+    arr = as_int_array(batch, what)
+    if arr.ndim != 2 or len(arr) != words:
+        raise ParameterError(
+            f"{what} must be a ({words}, n) batch, got shape {arr.shape}")
+    return list(arr.astype(np.int64, copy=False).T)
 
 
-# A key spanning at most this many values per word is ranked through a
-# span-sized table; wider keys are sorted.
+# A key spanning at most this many values per word is ranked or counted
+# through a span-sized table; wider keys are sorted.
 DENSE_SPAN = 4
 
 
@@ -236,22 +273,38 @@ def _rank(key: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
     return ids[key], first
 
 
-def _group(batch, words: int) -> tuple[np.ndarray, np.ndarray]:
-    """Group the `words` words of a batch by value: a group id per word,
-    ids numbered by first appearance in word order, and each group's
-    first word.  Columns pack into one int64 key per word with mixed
-    radix, re-compacted to group ids before the span could pass 2**62;
-    _rank groups a dense key with no sort.  The verifier's checks reach
-    this through _grouping, which memoizes it per variable set."""
+def _narrow(key: np.ndarray, span: int) -> tuple[np.ndarray, int]:
+    """A key and its span, re-compacted to group ids (_rank) if it spans
+    more than DENSE_SPAN values per word."""
+    if span <= DENSE_SPAN * len(key):
+        return key, span
+    ids, first = _rank(key, span)
+    return ids, len(first)
+
+
+def _mixed_radix(parts, words: int) -> tuple[np.ndarray, int]:
+    """One int64 key per word from (key, span) parts, the first part most
+    significant.  Before the span could pass 2**62, the key so far and
+    the part are narrowed, which leaves at most (DENSE_SPAN * words)**2."""
     key, span = np.zeros(words, dtype=np.int64), 1
-    for column in _columns(batch):
-        low = column.min()
-        radix = int(column.max() - low) + 1
+    for part, radix in parts:
         if span * radix > 1 << 62:
-            key, first = _rank(key, span)
-            span = len(first)
-        key, span = key * radix + (column - low), span * radix
-    return _rank(key, span)
+            key, span = _narrow(key, span)
+            part, radix = _narrow(part, radix)
+        # a span-1 key is all zeros: the first part is the key
+        key, span = key * radix + part if span > 1 else part, span * radix
+    return key, span
+
+
+def _pack(batch, words: int, what: str) -> tuple[np.ndarray, int]:
+    """A variable's key: its columns in mixed radix, each from its least
+    value, narrowed, so that keys of a few variables multiply into a
+    dense span."""
+    parts = []
+    for column in _columns(batch, words, what):
+        low = column.min()
+        parts.append((column - low, int(column.max()) - int(low) + 1))
+    return _narrow(*_mixed_radix(parts, words))
 
 
 def _deadline(budget: VerifierBudget) -> Callable[[], None]:
@@ -270,8 +323,11 @@ def _deadline(budget: VerifierBudget) -> Callable[[], None]:
 def enumerate_joint(code: CodeUnderTest,
                     budget: VerifierBudget = VerifierBudget()) -> JointDistribution:
     """Push every (source, key) word through the code in lexicographic
-    order, CHUNK_WORDS words per encode_fn call, checking the time budget
-    after each call."""
+    order, one chunk of CHUNK_WORDS words or fewer per encode_fn call,
+    checking the time budget after each call.  A chunk is every word
+    with one prefix: the prefix digits come from itertools.product and
+    the rest from one grid, built once, so no word is divided into
+    digits."""
     n_outcomes = code.outcome_count
     if n_outcomes > budget.max_outcomes:
         raise BudgetExceededError(
@@ -280,14 +336,18 @@ def enumerate_joint(code: CodeUnderTest,
     check_deadline = _deadline(budget)
     src_total = sum(code.source_symbols)
     ends = list(accumulate(code.source_symbols, initial=0))
-    # digit weights of a word's index, most significant first: the order
-    # of itertools.product (np.unravel_index refuses the empty word)
-    weights = code.q ** np.arange(src_total + code.key_symbols - 1, -1, -1,
-                                  dtype=np.int64)
+    digits = src_total + code.key_symbols
+    tail = min(digits, 1)
+    while tail < digits and code.q ** (tail + 1) <= CHUNK_WORDS:
+        tail += 1
+    # the last `tail` digits of a chunk's words, lexicographic
+    chunk = code.q ** tail
+    grid = np.indices((code.q,) * tail, dtype=np.int64).reshape(tail, chunk).T
     chunks = []
-    for start in range(0, n_outcomes, CHUNK_WORDS):
-        index = np.arange(start, min(start + CHUNK_WORDS, n_outcomes))
-        words = index[:, None] // weights % code.q
+    for prefix in product(range(code.q), repeat=digits - tail):
+        words = np.empty((chunk, digits), dtype=np.int64)
+        words[:, :digits - tail] = prefix
+        words[:, digits - tail:] = grid
         sources = tuple(words[:, a:b] for a, b in zip(ends, ends[1:]))
         shares = code.encode_fn(sources, words[:, src_total:])
         chunks.append((sources, shares))
@@ -298,31 +358,71 @@ def enumerate_joint(code: CodeUnderTest,
                              sources, shares)
 
 
-# Groupings a distribution keeps: the sources plus the last few tap sets.
-GROUPINGS_KEPT = 4
+_LABEL = re.compile(r"([SX])([0-9]+)")
 
 
-def _grouping(dist: JointDistribution, labels: Sequence[str],
-              more: Sequence[str] = ()) -> tuple[np.ndarray, np.ndarray]:
-    """The grouping (ids, first words) of the variables in labels and more,
-    as _group gives it, memoized on dist by label set.  Given both, the
-    words are grouped by the pair of the two parts' memoized ids."""
-    key = frozenset(labels) | frozenset(more)
-    memo = dist._groupings
-    if key in memo:
-        memo[key] = memo.pop(key)
-        return memo[key]
-    if not labels or not more:
-        grouping = _group(tuple(_batch(dist, label)
-                                for label in (*labels, *more)), dist.total)
+def _label(dist: JointDistribution, label: str) -> str:
+    """Variable S<k> or X<l>, k and l decimal, as its key's label."""
+    match = _LABEL.fullmatch(label) if isinstance(label, str) else None
+    if match is None:
+        raise ParameterError(f"unknown variable {label!r}")
+    kind, idx = match[1], int(match[2])
+    if kind == "S":
+        if not 1 <= idx <= len(dist.source_symbols):
+            raise ParameterError(f"no source {label}")
+        return f"S{idx}"
+    return f"X{as_encoders((idx,), dist.length)[0]}"
+
+
+@dataclass(frozen=True)
+class _Table:
+    """Word counts of a (given, targets) pair of variable sets.  Each
+    part and their cells have one int64 key per word, with its span;
+    `count` holds the count of each cell that occurs, in no given order,
+    `word_count` the count of each word's cell, and `given_counts` and
+    `target_counts` the count of each value by key, 0 where it does not
+    occur.  Outputs that need word order rank the keys (_rank)."""
+
+    given: tuple[np.ndarray, int]
+    target: tuple[np.ndarray, int]
+    cell: tuple[np.ndarray, int]
+    count: np.ndarray
+    word_count: np.ndarray
+    given_counts: np.ndarray
+    target_counts: np.ndarray
+
+
+def _table(dist: JointDistribution, given: Sequence[str],
+           targets: Sequence[str]) -> _Table:
+    """The count table of (given, targets); the last one is memoized on
+    dist, so a secrecy check and the entropy of the same tap set share
+    it."""
+    given = [_label(dist, label) for label in given]
+    targets = [_label(dist, label) for label in targets]
+    sets = (frozenset(given), frozenset(targets))
+    last_sets, last = dist._last_table[0]
+    if last_sets == sets:
+        return last
+    # each part narrowed, so that its counts fit a table and the product
+    # of the two spans stays far below 2**62
+    (g, g_span), (t, t_span) = [
+        _narrow(*_mixed_radix((dist._keys[label] for label in labels),
+                              dist.total))
+        for labels in (given, targets)]
+    cell, span = g * t_span + t, g_span * t_span
+    if span <= DENSE_SPAN * dist.total:
+        count = np.bincount(cell, minlength=span)
+        word_count = count[cell]
+        count = count[count > 0]
     else:
-        a, a_first = _grouping(dist, labels)
-        b, b_first = _grouping(dist, more)
-        grouping = _rank(a * len(b_first) + b, len(a_first) * len(b_first))
-    memo[key] = grouping
-    if len(memo) > GROUPINGS_KEPT:
-        del memo[next(iter(memo))]
-    return grouping
+        _, inverse, count = np.unique(cell, return_inverse=True,
+                                      return_counts=True)
+        word_count = count[inverse]
+    table = _Table((g, g_span), (t, t_span), (cell, span), count, word_count,
+                   np.bincount(g, minlength=g_span),
+                   np.bincount(t, minlength=t_span))
+    dist._last_table[0] = sets, table
+    return table
 
 
 # --- secrecy and reconstruction ----------------------------------------------------
@@ -339,41 +439,52 @@ def check_perfect_secrecy(dist: JointDistribution, tapped) -> SecrecyReport:
     """Exact independence of (all sources) from the tapped share tuple.
 
     Checks count(s, o) * total == count(s) * count(o) for every cell of
-    the product support, zero cells included; sources and observations
-    each run in order of first appearance, and the first failing cell in
-    row-major order is the counterexample.
+    the product support, zero cells included: with n_s source values
+    and n_o observations occurring, that is n_s * n_o cells occurring
+    and the equation in each.  For the counterexample, sources and
+    observations each run in order of first appearance, and the first
+    failing cell in row-major order is reported.
     """
     tapped = tuple(sorted(set(as_encoders(tapped, dist.length))))
     sources = [f"S{k}" for k in range(1, len(dist.source_symbols) + 1)]
-    taps = [f"X{l}" for l in tapped]
-    src, src_first = _grouping(dist, sources)
-    obs, obs_first = _grouping(dist, taps)
-    cell, cell_first = _grouping(dist, taps, sources)
-    m_src, m_obs, count = np.bincount(src), np.bincount(obs), np.bincount(cell)
-    n_obs = len(obs_first)
-    # the row-major index s * n_obs + o of each cell that occurs; the first
-    # cell that does not occur is at most len(cells), the pigeonhole bound
-    s_of, o_of = src[cell_first], obs[cell_first]
-    cells = s_of * n_obs + o_of
-    wrong = cells[count * dist.total != m_src[s_of] * m_obs[o_of]]
-    seen = np.zeros(len(cells) + 1, dtype=bool)
-    seen[cells[cells <= len(cells)]] = True
-    first_wrong = int(np.argmin(seen))
-    if len(wrong):
-        first_wrong = min(first_wrong, int(wrong.min()))
-    if first_wrong == len(src_first) * n_obs:
+    table = _table(dist, [f"X{l}" for l in tapped], sources)
+    (obs, _), (src, _) = table.given, table.target
+    m_obs, m_src = table.given_counts, table.target_counts
+    if (len(table.count) == np.count_nonzero(m_obs) * np.count_nonzero(m_src)
+            and (table.word_count * dist.total
+                 == m_obs[obs] * m_src[src]).all()):
         return SecrecyReport(tapped, True)
+    return SecrecyReport(tapped, False,
+                         _first_failing_cell(dist, tapped, table))
+
+
+def _first_failing_cell(dist: JointDistribution, tapped: tuple[int, ...],
+                        table: _Table) -> dict:
+    """The counterexample of a failed secrecy check: the first cell, in
+    row-major order of sources and observations each ranked by first
+    appearance, whose count breaks the factorization."""
+    src, src_first = _rank(*table.target)
+    obs, obs_first = _rank(*table.given)
+    n_obs = len(obs_first)
+    # row-major cells s * n_obs + o that occur, ascending: the first
+    # missing one is the first position i that does not hold cell i
+    cells, count = np.unique(src * n_obs + obs, return_counts=True)
+    m_src, m_obs = np.bincount(src), np.bincount(obs)
+    s_of, o_of = np.divmod(cells, n_obs)
+    wrong = ((cells != np.arange(len(cells)))
+             | (count * dist.total != m_src[s_of] * m_obs[o_of]))
+    first_wrong = int(np.argmax(np.append(wrong, True)))
     s, o = divmod(first_wrong, n_obs)
-    at = np.flatnonzero(cells == first_wrong)
-    return SecrecyReport(tapped, False, {
+    occurs = first_wrong < len(cells) and cells[first_wrong] == first_wrong
+    return {
         "sources": _word(dist.sources, src_first[s]),
         "observed": _word(tuple(dist.shares[l - 1] for l in tapped),
                           obs_first[o]),
-        "count": int(count[at[0]]) if len(at) else 0,
+        "count": int(count[first_wrong]) if occurs else 0,
         "total": dist.total,
         "source_count": int(m_src[s]),
         "observed_count": int(m_obs[o]),
-    })
+    }
 
 
 @dataclass(frozen=True)
@@ -410,27 +521,20 @@ def check_reconstruction(code: CodeUnderTest, dist: JointDistribution,
 # --- entropies ------------------------------------------------------------------
 
 
-_LABEL = re.compile(r"([SX])([0-9]+)")
-
-
-def _batch(dist: JointDistribution, label: str):
-    """The word-order batch of variable S<k> or X<l>, k and l decimal."""
-    match = _LABEL.fullmatch(label) if isinstance(label, str) else None
-    if match is None:
-        raise ParameterError(f"unknown variable {label!r}")
-    kind, idx = match[1], int(match[2])
-    if kind == "S":
-        if not 1 <= idx <= len(dist.source_symbols):
-            raise ParameterError(f"no source {label}")
-        return dist.sources[idx - 1]
-    return dist.shares[as_encoders((idx,), dist.length)[0] - 1]
-
-
 @dataclass(frozen=True)
 class EntropyResult:
     bits: float
     exact: ExactLogSum
     float_agrees: bool
+
+
+def _multiplicities(counts: np.ndarray) -> list[tuple[int, int]]:
+    """(count, how many times it occurs) for each distinct count."""
+    if (counts == counts[0]).all():
+        return [(int(counts[0]), len(counts))]
+    times = np.bincount(counts)
+    values = np.flatnonzero(times)
+    return list(zip(values.tolist(), times[values].tolist()))
 
 
 def conditional_entropy(dist: JointDistribution, targets: Sequence[str],
@@ -442,26 +546,37 @@ def conditional_entropy(dist: JointDistribution, targets: Sequence[str],
     `given` values and c in a cell of (given, targets) values, the exact
     value is (sum_g c_g log c_g - sum_cells c log c) / total; the float
     adds (c / total) * log2(c_g / c) over groups, then cells, in order
-    of first appearance.
+    of first appearance.  When every cell adds the same term, any order
+    adds the same floats, and the word order is not computed.
     """
-    group, _ = _grouping(dist, given)
-    cell, cell_first = _grouping(dist, given, targets)
-    c_g, c = np.bincount(group), np.bincount(cell)
+    table = _table(dist, given, targets)
+    groups = _multiplicities(table.given_counts[table.given_counts > 0])
+    cells = _multiplicities(table.count)
     exact = ExactLogSum()
-    for counts, sign in ((c_g, 1), (c, -1)):
-        times = np.bincount(counts)
-        for v in np.flatnonzero(times).tolist():
-            exact += ExactLogSum.of_log(
-                v, Fraction(sign * int(times[v]) * v, dist.total))
-    # cells by group, stably; group ids below 2**16 take a radix sort
-    order = np.argsort(group[cell_first].astype(np.min_scalar_type(len(c_g))),
-                       kind="stable")
-    c, c_g = c[order], c_g[group[cell_first[order]]]
-    # math.log2 once per distinct (c_g, c) pair (np.log2 may differ in the
-    # last ulp), summed sequentially by np.add.accumulate
-    pair, first = _rank(c_g * (c.max() + 1) + c, (c_g.max() + 1) * (c.max() + 1))
-    logs = np.array([log2(v) for v in (c_g[first] / c[first]).tolist()])[pair]
-    bits = float(np.add.accumulate(c / dist.total * logs)[-1])
+    for pairs, sign in ((groups, 1), (cells, -1)):
+        for v, times in pairs:
+            exact += ExactLogSum.of_log(v, Fraction(sign * times * v,
+                                                    dist.total))
+    if len(groups) == len(cells) == 1:
+        (c_g, _), (c, n) = groups[0], cells[0]
+        terms = np.full(n, c / dist.total * log2(c_g / c))
+    else:
+        group, _ = _rank(*table.given)
+        cell, cell_first = _rank(*table.cell)
+        # cells by group, stably; group ids below 2**16 take a radix sort
+        order = np.argsort(
+            group[cell_first].astype(np.min_scalar_type(len(cell_first))),
+            kind="stable")
+        c = np.bincount(cell)[order]
+        c_g = np.bincount(group)[group[cell_first[order]]]
+        # math.log2 once per distinct (c_g, c) pair (np.log2 may differ in
+        # the last ulp), summed sequentially by np.add.accumulate
+        pair, first = _rank(c_g * (c.max() + 1) + c,
+                            (c_g.max() + 1) * (c.max() + 1))
+        logs = np.array([log2(v) for v in
+                         (c_g[first] / c[first]).tolist()])[pair]
+        terms = c / dist.total * logs
+    bits = float(np.add.accumulate(terms)[-1])
     return EntropyResult(bits, exact, abs(bits - exact.to_float()) <= 1e-12)
 
 

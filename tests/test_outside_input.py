@@ -2,8 +2,9 @@
 refuses what that check refuses with ParameterError (exit code 2).
 
 Integers are Python or numpy integers, exact rationals are int or
-Fraction (any numbers.Rational), encoder indices lie in 1..L, and
-symbols are integer arrays.  Floats, strings and None are refused
+Fraction (any numbers.Rational), encoder indices lie in 1..L, symbols
+and a verified code's shares are integer arrays, and a time budget is
+None or a non-negative real.  Floats, strings and None are refused
 wherever one of these is asked for; nothing is truncated or read as
 another encoder.  A fraction in a region's JSON is two integers over a
 nonzero denominator, and a variable label is S or X and decimal digits.
@@ -28,10 +29,11 @@ from smdc.region import (InequalitySystem, LinExpr, corner_points,
                          superposition_corner_points, superposition_region)
 from smdc.shareio import (ShareFile, dump_share, join_files, load_share,
                           split_files)
-from smdc.verify import (CodeUnderTest, check_perfect_secrecy,
-                         check_prop2_inequality, check_reconstruction,
-                         code_for_layout, conditional_entropy,
-                         enumerate_joint)
+from smdc.verify import (CodeUnderTest, VerifierBudget,
+                         check_perfect_secrecy, check_prop2_inequality,
+                         check_reconstruction, code_for_layout,
+                         conditional_entropy, enumerate_joint,
+                         verification_report)
 from smdc.wiretap import (WiretapNetwork, admissible_by_separation,
                           mincut_to_user, mincut_to_wiretap)
 
@@ -155,6 +157,15 @@ CASES = {
         source_symbols=(v - 2,))),
     "ShareFile.byte_lengths": (BAD_INTS, lambda v: ShareFile(
         3, 1, 1, GF5, (v - 1, 1), (b"ab", b"c"))),
+    "VerifierBudget.max_outcomes": (["10", None, *BAD_INTS], lambda v:
+                                    verification_report(hand_code(),
+                                                        VerifierBudget(
+                                                            max_outcomes=v))),
+    # time budgets: None or a non-negative real
+    "VerifierBudget.max_seconds": (["1", -1, float("nan"), 1j], lambda v:
+                                   verification_report(hand_code(),
+                                                       VerifierBudget(
+                                                           max_seconds=v))),
     # symbols
     "as_symbols": (BAD_INTS, lambda v: as_symbols(GF5, [v - 1.5, 2])),
     "encode_with_layout": (BAD_INTS, lambda v:
@@ -189,6 +200,9 @@ def test_numpy_integers_pass_as_python_ints():
     net = WiretapNetwork(np.int64(3), np.int8(1), 2, (1, 1, np.uint8(1)))
     assert net == NET and type(net.length) is int
     assert hand_code(q=np.int64(3)).q == 3
+    budget = VerifierBudget(np.int64(9), np.float64(0.5))
+    assert budget.max_outcomes == 9 and type(budget.max_outcomes) is int
+    assert VerifierBudget(max_seconds=Fraction(1, 2)).max_seconds == 0.5
     assert _from_json(coeff=(np.int64(2), 4)).rows[0].coeffs[0] == \
         Fraction(1, 2)
 

@@ -25,7 +25,7 @@ from smdc.multilevel import SmdcParams, plan as multilevel_plan, encode as multi
 from smdc.randomness import SequenceSymbolSource
 from smdc.single_level import encode_with_layout, rate_layout, symmetric_layout
 from smdc.verify import (DENSE_SPAN, CodeUnderTest, ExactLogSum,
-                         VerifierBudget, _group, _rank,
+                         VerifierBudget, _pack, _rank, _table,
                          check_perfect_secrecy, check_prop2_inequality,
                          check_reconstruction, code_for_layout,
                          code_for_multilevel, conditional_entropy,
@@ -140,6 +140,75 @@ def test_secrecy_counterexample_can_be_a_cell_that_never_occurs():
         "source_count": 3, "observed_count": 3}
 
 
+def wide_code(table) -> CodeUnderTest:
+    # x1 = (a, k2), x2 = (k2, a), x3 = (s + k2, k1 + k2) over GF(3) with
+    # a = table[s][k1], every symbol times 2**39: values up to 2**40, and
+    # a pair of shares spans more key values than DENSE_SPAN per word
+    table = np.array(table)
+
+    def encode_fn(sources, keys):
+        s, k1, k2 = sources[0], keys[:, :1], keys[:, 1:]
+        a = table[s, k1]
+        return tuple(np.hstack(columns) << 39 for columns in (
+            (a, k2), (k2, a), ((s + k2) % 3, (k1 + k2) % 3)))
+
+    return CodeUnderTest(q=3, length=3, wiretap=2, source_symbols=(1,),
+                         key_symbols=2, encode_fn=encode_fn,
+                         decode_fn=lambda observed: (),
+                         expected_sources=lambda size: 0)
+
+
+def reference_secrecy(table, total, tapped):
+    """(ok, counterexample) by a walk over an outcome table: sources and
+    observations in order of first appearance, and the first cell in
+    row-major order whose count breaks count * total == product of the
+    marginal counts."""
+    cells, m_src, m_obs = Counter(), Counter(), Counter()
+    for (sources, shares), c in table.items():
+        observed = tuple(shares[l - 1] for l in tapped)
+        cells[sources, observed] += c
+        m_src[sources] += c
+        m_obs[observed] += c
+    for s in m_src:
+        for o in m_obs:
+            if cells[s, o] * total != m_src[s] * m_obs[o]:
+                return False, {"sources": s, "observed": o,
+                               "count": cells[s, o], "total": total,
+                               "source_count": m_src[s],
+                               "observed_count": m_obs[o]}
+    return True, None
+
+
+@pytest.mark.parametrize("name,table", [
+    ("sum", [[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
+    ("missing_cell", [[0, 1, 2], [1, 1, 2], [0, 0, 2]]),
+])
+def test_sorted_tables_match_a_walk(name, table):
+    dist = enumerate_joint(wide_code(table))
+    assert _table(dist, ["X1", "X2"], ["S1"]).cell[1] > \
+        DENSE_SPAN * dist.total
+    outcomes = joint_table(dist)
+    for size in (1, 2, 3):
+        for tapped in combinations((1, 2, 3), size):
+            rep = check_perfect_secrecy(dist, tapped)
+            assert (rep.ok, rep.counterexample) == reference_secrecy(
+                outcomes, dist.total, tapped), tapped
+    # x1 and x2 carry a and k2: a sum hides s, the missing-cell table
+    # never gives a = 0 for s = 1, the first cell of that row
+    rep = check_perfect_secrecy(dist, (1, 2))
+    if name == "sum":
+        assert rep.ok
+    else:
+        assert not rep.ok and rep.counterexample["count"] == 0
+    labels = ["S1", "X1", "X2", "X3"]
+    for targets in combinations(labels, 1):
+        for given in [c for size in range(len(labels))
+                      for c in combinations(labels, size)]:
+            got = conditional_entropy(dist, targets, given)
+            assert (got.exact, got.bits) == reference_entropy(
+                outcomes, dist.total, targets, given), (targets, given)
+
+
 def test_reconstruction_on_hand_code_and_failure_on_leaky():
     code = hand_code()
     dist = enumerate_joint(code)
@@ -206,6 +275,73 @@ def test_entropies_match_a_walk_over_the_outcome_table():
                 # the same float, to the last bit, not just a close one
                 assert (got.exact, got.bits) == reference_entropy(
                     table, dist.total, targets, given), (targets, given)
+
+
+def nonlinear_code() -> CodeUnderTest:
+    # x1 = s * k1, x2 = s + k1 * k2, x3 = k1 + s * k2 over GF(3): cells of
+    # unequal counts, so an entropy adds terms that differ
+    def encode_fn(sources, keys):
+        s, k1, k2 = sources[0], keys[:, :1], keys[:, 1:]
+        return (s * k1 % 3, (s + k1 * k2) % 3, (k1 + s * k2) % 3)
+
+    return CodeUnderTest(q=3, length=3, wiretap=1, source_symbols=(1,),
+                         key_symbols=2, encode_fn=encode_fn,
+                         decode_fn=lambda observed: (),
+                         expected_sources=lambda size: 0)
+
+
+def test_entropies_of_unequal_cells_match_a_walk_to_the_last_bit():
+    # the float adds its terms by groups, then cells, in order of first
+    # appearance: summed in any other order, some of these floats differ
+    dist = enumerate_joint(nonlinear_code())
+    table = joint_table(dist)
+    labels = ["S1", "X1", "X2", "X3"]
+    subsets = [c for size in range(len(labels) + 1)
+               for c in combinations(labels, size)]
+    for targets in subsets[1:]:
+        for given in subsets:
+            got = conditional_entropy(dist, targets, given)
+            assert (got.exact, got.bits) == reference_entropy(
+                table, dist.total, targets, given), (targets, given)
+            assert got.float_agrees
+
+
+def test_float_shares_are_refused_by_name():
+    # x1 = (k + s) % 3 + 0.5 and x2 = ((k + 2s) % 3) * 0.25 were truncated
+    # to integers, which made X2 a constant and passed the report
+    def floats(sources, keys):
+        s = sources[0]
+        return ((keys + s) % 3 + 0.5, ((keys + 2 * s) % 3) * 0.25)
+
+    def second_float(sources, keys):
+        s = sources[0]
+        return ((keys + s) % 3, ((keys + 2 * s) % 3) * 0.25)
+
+    code = hand_code()
+    for encode_fn, name in ((floats, "X1"), (second_float, "X2")):
+        bad = dataclasses.replace(code, encode_fn=encode_fn)
+        with pytest.raises(ParameterError,
+                           match=f"variable {name} must be integers"):
+            enumerate_joint(bad)
+        with pytest.raises(ParameterError, match=f"variable {name}"):
+            verification_report(bad)
+
+
+def test_shares_of_another_shape_are_refused_by_name():
+    # a (W,) share was read as W constant columns, so X2 told nothing
+    def flat(sources, keys):
+        s = sources[0]
+        return ((keys + s) % 3, ((keys + 2 * s) % 3)[:, 0])
+
+    def short(sources, keys):
+        s = sources[0]
+        return ((keys + s) % 3, ((keys + 2 * s) % 3)[1:])
+
+    for encode_fn, shape in ((flat, r"\(9,\)"), (short, r"\(8, 1\)")):
+        bad = dataclasses.replace(hand_code(), encode_fn=encode_fn)
+        with pytest.raises(ParameterError, match=(
+                rf"variable X2 must be a \(9, n\) batch, got shape {shape}")):
+            verification_report(bad)
 
 
 def test_entropy_label_validation():
@@ -322,6 +458,11 @@ def assert_grouping(got, want):
     assert (ids.tolist(), first.tolist()) == want
 
 
+def group(batch, words):
+    """The grouping of a batch's words by value, through its packed key."""
+    return _rank(*_pack(batch, words, "batch"))
+
+
 @pytest.mark.parametrize("words", [1, 2, 7, 500])
 def test_dense_and_sorted_grouping_agree_with_a_walk(words):
     rng = np.random.default_rng(words)
@@ -331,18 +472,18 @@ def test_dense_and_sorted_grouping_agree_with_a_walk(words):
         key = rng.integers(0, span, words)
         key[0], key[-1] = 0, span - 1        # a column spanning exactly span
         want = walk_groups(key.tolist())
-        assert_grouping(_group(key[:, None], words), want)
+        assert_grouping(group(key[:, None], words), want)
         # any span above the key's values is valid; past the bound, sorted
         assert_grouping(_rank(key, span), want)
         assert_grouping(_rank(key, DENSE_SPAN * words + 1), want)
     # several columns, a nested batch and repeated words
     batch = (rng.integers(0, 3, (words, 2)), (rng.integers(5, 7, (words, 1)),))
     rows = [tuple(r) for r in np.hstack([batch[0], batch[1][0]]).tolist()]
-    assert_grouping(_group(batch, words), walk_groups(rows))
+    assert_grouping(group(batch, words), walk_groups(rows))
     # no columns at all: one group
-    assert_grouping(_group(np.zeros((words, 0), dtype=np.int64), words),
+    assert_grouping(group(np.zeros((words, 0), dtype=np.int64), words),
                     ([0] * words, [0]))
-    assert_grouping(_group((), words), ([0] * words, [0]))
+    assert_grouping(group((), words), ([0] * words, [0]))
 
 
 def test_grouping_recompacts_wide_columns():
@@ -353,7 +494,7 @@ def test_grouping_recompacts_wide_columns():
     pool[0], pool[1] = 0, (1 << 31) - 1
     rows = pool[rng.integers(0, len(pool), 300)]
     want = walk_groups([tuple(r) for r in rows.tolist()])
-    assert_grouping(_group(rows, len(rows)), want)
+    assert_grouping(group(rows, len(rows)), want)
 
 
 # --- layout adapters ---------------------------------------------------------
