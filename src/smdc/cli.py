@@ -87,6 +87,68 @@ def _pair(v: Fraction) -> list[int]:
     return [v.numerator, v.denominator]
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_scalar(v) -> str:
+    """None, a bool, an int or a float as json.dumps writes it."""
+    if v is None:
+        return "null"
+    if v is True or v is False:
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        if v != v:
+            return "NaN"
+        if v in (float("inf"), float("-inf")):
+            return "Infinity" if v > 0 else "-Infinity"
+        return float.__repr__(v)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return _quote(key)
+    if key is None or isinstance(key, (int, float)):
+        return f'"{_json_scalar(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
+
+
+def _dumps(report) -> str:
+    """`json.dumps(report, indent=2)`, byte for byte.  CPython's C encoder
+    does not indent, and its Python one yields every token through nested
+    generators; this builds each container with one str.join, and renders
+    each [numerator, denominator] pair once per depth."""
+    pairs: dict = {}
+
+    def render(v, nl: str) -> str:
+        if isinstance(v, str):
+            return _quote(v)
+        inner = nl + "  "
+        if isinstance(v, (list, tuple)):
+            if not v:
+                return "[]"
+            if len(v) == 2 and type(v[0]) is int and type(v[1]) is int:
+                key = (v[0], v[1], nl)
+                text = pairs.get(key)
+                if text is None:
+                    text = pairs[key] = f"[{inner}{v[0]},{inner}{v[1]}{nl}]"
+                return text
+            return ("[" + inner + ("," + inner).join([render(x, inner) for x in v])
+                    + nl + "]")
+        if isinstance(v, dict):
+            if not v:
+                return "{}"
+            return ("{" + inner + ("," + inner).join([
+                _json_key(k) + ": " + render(x, inner) for k, x in v.items()])
+                + nl + "}")
+        return _json_scalar(v)
+
+    return render(report, "\n")
+
+
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The `smdc` parser, built once per process: parsing leaves it as it
@@ -251,7 +313,7 @@ def _cmd_region(args) -> int:
             "violated_inequalities": [r.render(system.var_names)
                                       for r in violated],
         }
-    print(json.dumps(report, indent=2))
+    print(_dumps(report))
     return EXIT_INFEASIBLE if outside else EXIT_OK
 
 
@@ -299,7 +361,7 @@ def _cmd_wn(args) -> int:
             code = EXIT_INFEASIBLE
     if args.edges:
         report["edges"] = export_edge_list(net).splitlines()
-    print(json.dumps(report, indent=2))
+    print(_dumps(report))
     return code
 
 
@@ -319,7 +381,7 @@ def _cmd_verify(args) -> int:
         params = SmdcParams(field, args.length, args.wiretap, tuple(lengths))
         code = code_for_multilevel(multilevel_plan(params))
     report = verification_report(code, VerifierBudget(args.budget))
-    print(json.dumps(report, indent=2))
+    print(_dumps(report))
     return EXIT_OK if report["ok"] else EXIT_VERIFY_FAILED
 
 

@@ -4,7 +4,9 @@ A region lives over named rate variables and is cut out by rows of the
 form ``coeffs . x >= bound``.  Bounds are rational linear expressions in
 named nonnegative parameters (source entropies), so one system can be
 manipulated symbolically and later evaluated at concrete values.  All
-arithmetic is Fraction-exact.
+arithmetic is exact, on integers where it can be: the combined region's
+rows keep its integer facet normals, and membership puts the point over
+one common denominator first.
 
 One source with L encoders and threshold k (any k outputs decode it after
 key removal) admits the rates whose every k-subset covers its entropy H:
@@ -24,6 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, product
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParameterError, as_fraction, as_int
@@ -131,9 +134,10 @@ class LinExpr:
 
 @dataclass(frozen=True)
 class Inequality:
-    """One row: coeffs . x >= bound."""
+    """One row: coeffs . x >= bound.  Coefficients are exact rationals:
+    Fractions, or ints in the rows of superposition_region."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Fraction | int, ...]
     bound: LinExpr
 
     @staticmethod
@@ -242,9 +246,21 @@ class InequalitySystem:
         return not self.violated_rows(point, params)
 
     def violated_rows(self, point: Sequence, params: Mapping | None = None) -> list[Inequality]:
+        """The rows the point breaks, in order.  The point is put over one
+        common denominator once, so an integer row is tested by an integer
+        dot product; Fraction coefficients keep Fraction sums."""
         if len(point) != self.dim:
             raise ParameterError(f"point has {len(point)} coordinates, need {self.dim}")
-        return [r for r in self.rows if not r.satisfied_by(point, params)]
+        x = [_frac(v) for v in point]
+        scale = lcm(*(v.denominator for v in x))
+        x = [v.numerator * (scale // v.denominator) for v in x]
+        params = params or {}
+        out = []
+        for r in self.rows:
+            bound = r.bound.evaluate(params)
+            if sum(map(mul, r.coeffs, x)) * bound.denominator < bound.numerator * scale:
+                out.append(r)
+        return out
 
     def evaluate(self, params: Mapping) -> "InequalitySystem":
         rows = [Inequality(r.coeffs, LinExpr.constant(r.bound.evaluate(params)))
@@ -523,7 +539,7 @@ def superposition_region(length: int, n_wiretap: int, entropies=None) -> Inequal
     rows = []
     for alpha, weights in _facet_orbits(length, levels):
         bound = sum((hs[k - 1] * w for k, w in zip(levels, weights)), LinExpr())
-        rows.extend(Inequality.make(perm, bound) for perm in _orderings(alpha))
+        rows.extend(Inequality(perm, bound) for perm in _orderings(alpha))
     # facets never imply one another, so this is already canonical();
     # sorting gives its row order without its pairwise dominance scan
     rows.sort(key=Inequality.sort_key)
@@ -558,7 +574,9 @@ def superposition_corner_points(length: int, n_wiretap: int,
     corners = sorted(c for x in candidates
                      if len(_echelon(_tight_rows(x, orbits))[1]) == length
                      for c in _orderings(x))
-    return tuple(tuple(Fraction(v, scale) for v in c) for c in corners)
+    # orderings only permute a candidate, so few distinct values occur
+    values = {v: Fraction(v, scale) for x in candidates for v in x}
+    return tuple(tuple(map(values.__getitem__, c)) for c in corners)
 
 
 def _tight_rows(x: Sequence[int], orbits) -> list[Sequence[int]]:

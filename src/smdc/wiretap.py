@@ -9,7 +9,8 @@ sum of the threshold - wiretap smallest rates, as in the single-level
 region.  With one source symbol per unit entropy every cut is a plain
 rate sum.  The max-flow computation is kept as an independent check,
 each cut's flow on that cut's own network: the source, the L encoders
-and one sink.
+and one sink.  Both run on integers, the rates times their common
+denominator, and divide back once per cut.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from math import lcm
 from typing import Iterator, Mapping
 
 from .errors import ParameterError, as_encoders, as_fraction, as_int
@@ -46,6 +49,14 @@ class WiretapNetwork:
             raise ParameterError(f"need {self.length} rates")
         object.__setattr__(self, "rates", rates)
 
+    @cached_property
+    def _scaled_rates(self) -> tuple[int, tuple[int, ...]]:
+        """The rates' common denominator, and each rate times it: the
+        integer capacities every cut is computed on."""
+        scale = lcm(*(r.denominator for r in self.rates))
+        return scale, tuple(r.numerator * (scale // r.denominator)
+                            for r in self.rates)
+
     def encoder_node(self, l: int) -> str:
         return f"e{l}"
 
@@ -60,15 +71,16 @@ class WiretapNetwork:
 
     def build(self) -> dict[str, dict[str, Fraction | None]]:
         """Adjacency map with Fraction capacities (None = unbounded)."""
-        return _network(self, {self.user_node(u): u for u in self.users()})
+        return _network(self, self.rates,
+                        {self.user_node(u): u for u in self.users()})
 
 
-def _network(net: WiretapNetwork, sinks: Mapping[str, tuple[int, ...]]):
-    """The source, the L encoders, and each sink fed by unbounded edges
-    from its encoder subset."""
+def _network(net: WiretapNetwork, rates, sinks: Mapping[str, tuple[int, ...]]):
+    """The source, the L encoders fed at `rates`, and each sink fed by
+    unbounded edges from its encoder subset."""
     graph: dict[str, dict[str, Fraction | None]] = {SOURCE: {}}
-    for l in range(1, net.length + 1):
-        graph[SOURCE][net.encoder_node(l)] = net.rates[l - 1]
+    for l, rate in enumerate(rates, start=1):
+        graph[SOURCE][net.encoder_node(l)] = rate
         graph[net.encoder_node(l)] = {}
     for sink, subset in sinks.items():
         graph[sink] = {}
@@ -84,16 +96,18 @@ def _residual(graph: Mapping[str, Mapping[str, Fraction | None]]):
         for head, cap in heads.items():
             res.setdefault(head, {})
             res[tail][head] = cap
-            res[head].setdefault(tail, Fraction(0))
+            res[head].setdefault(tail, 0)
     return res
 
 
-def max_flow(graph: Mapping[str, Mapping[str, Fraction | None]],
-             source: str, sink: str) -> Fraction:
-    """Edmonds-Karp on rational capacities; unbounded edges allowed as
-    long as every source-sink path crosses some finite edge."""
+def max_flow(graph: Mapping[str, Mapping[str, int | Fraction | None]],
+             source: str, sink: str) -> int | Fraction:
+    """Edmonds-Karp, exact on int or Fraction capacities; unbounded edges
+    allowed as long as every source-sink path crosses some finite edge.
+    The flow comes in the capacities' own type: the cuts pass exact
+    integers after one common scale, so no step builds a Fraction."""
     res = _residual(graph)
-    total = Fraction(0)
+    total = 0
     while True:
         parent = {source: None}
         queue = deque([source])
@@ -146,9 +160,11 @@ def _cut(net: WiretapNetwork, subset, size: int, via_flow: bool) -> Fraction:
         raise ParameterError("duplicate encoders in subset")
     if len(subset) != size:
         raise ParameterError(f"subset must have exactly {size} encoders")
+    scale, rates = net._scaled_rates
     if via_flow:
-        return max_flow(_network(net, {"t": subset}), SOURCE, "t")
-    return sum((net.rates[l - 1] for l in subset), Fraction(0))
+        return Fraction(max_flow(_network(net, rates, {"t": subset}),
+                                 SOURCE, "t"), scale)
+    return Fraction(sum(rates[l - 1] for l in subset), scale)
 
 
 def secrecy_rate(net: WiretapNetwork) -> Fraction:

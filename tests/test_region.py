@@ -440,3 +440,101 @@ def test_combined_corners_match_brute_force_of_fm(length, n, hs):
 def test_combined_region_rejects_negative_entropy():
     with pytest.raises(ParameterError):
         superposition_region(3, 1, [1, -1])
+
+
+# --- integer rows and the integer membership test ---------------------------------
+
+def _probe_points(rng, system, corners, params=None):
+    """Boundary points (corners), points pushed inside or outside from
+    them, random points and points with a negative coordinate."""
+    dim = system.dim
+    points = [list(c) for c in corners]
+    for c in corners:
+        step = F(rng.randrange(1, 50), rng.choice([1, 3, 7, 1_000_003]))
+        points.append([v + step for v in c])
+        points.append([v - step for v in c])
+        points.append([v - step if i == rng.randrange(dim) else v
+                       for i, v in enumerate(c)])
+    for _ in range(30):
+        points.append([F(rng.randrange(-5, 40), rng.choice([1, 2, 9, 2 ** 61 - 1]))
+                       for _ in range(dim)])
+    points.append([rng.randrange(0, 5) for _ in range(dim - 1)] + [-1])
+    return points
+
+
+def _assert_rows_agree(system, points, params=None):
+    verdicts = set()
+    for point in points:
+        want = [r for r in system.rows if not r.satisfied_by(point, params)]
+        assert system.violated_rows(point, params) == want, point
+        assert system.contains(point, params) == (not want)
+        verdicts.add(not want)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("length,n,hs", CORNER_SHAPES + [
+    (5, 1, [F(1, 3), 0, F(5, 2), 1]), (6, 2, [1, F(2, 5), 0, 3])])
+def test_violated_rows_match_satisfied_by_on_combined_regions(length, n, hs):
+    rng = random.Random(length * 10 + n)
+    system = superposition_region(length, n, hs)
+    corners = superposition_corner_points(length, n, hs)
+    _assert_rows_agree(system, _probe_points(rng, system, corners))
+
+
+@pytest.mark.parametrize("length,k,h", [(3, 2, F(1)), (4, 1, F(7, 3)),
+                                        (5, 3, F(2, 1_000_003))])
+def test_violated_rows_match_satisfied_by_on_single_code_regions(length, k, h):
+    rng = random.Random(length * 10 + k)
+    system = region(length, k, h)
+    _assert_rows_agree(system, _probe_points(rng, system,
+                                             corner_points(length, k, h)))
+
+
+def test_violated_rows_match_satisfied_by_on_symbolic_bounds():
+    rng = random.Random(3)
+    system = superposition_region(4, 1)
+    for hs in ([1, 1, 1], [F(1, 2), 3, F(2, 7)], [0, F(5, 3), 0]):
+        params = dict(zip(("H1", "H2", "H3"), hs))
+        corners = superposition_corner_points(4, 1, hs)
+        _assert_rows_agree(system, _probe_points(rng, system, corners),
+                           params)
+    with pytest.raises(ParameterError):
+        system.violated_rows([1, 1, 1, 1], {"H1": 1})
+
+
+def test_violated_rows_match_satisfied_by_on_fractional_rows():
+    # rows read back from JSON, each scaled by its own positive fraction,
+    # keep the Fraction path and the region
+    rng = random.Random(4)
+    data = superposition_region(4, 1, [1, F(1, 2), 2]).to_json_dict()
+    for row in data["rows"]:
+        a, d = rng.randrange(1, 5), rng.choice([3, 10 ** 9 + 7])
+        row["coeffs"] = [[n * a, den * d] for n, den in row["coeffs"]]
+        n, den = row["bound"]["const"]
+        row["bound"]["const"] = [n * a, den * d]
+    system = InequalitySystem.from_json_dict(data)
+    assert any(type(c) is F and c.denominator > 1
+               for r in system.rows for c in r.coeffs)
+    corners = superposition_corner_points(4, 1, [1, F(1, 2), 2])
+    _assert_rows_agree(system, _probe_points(rng, system, corners))
+
+
+@pytest.mark.parametrize("length,n,hs", [(3, 0, [1, 1, 1]), (4, 1, None),
+                                         (5, 2, [F(1, 2), 0, 3]),
+                                         (6, 3, [1, 1, 1])])
+def test_integer_rows_act_like_their_fraction_twins(length, n, hs):
+    system = superposition_region(length, n, hs)
+    assert all(type(c) is int for r in system.rows for c in r.coeffs)
+    twins = InequalitySystem(system.var_names, tuple(
+        Inequality(tuple(map(F, r.coeffs)), r.bound) for r in system.rows))
+    assert all(type(c) is F for r in twins.rows for c in r.coeffs)
+    assert twins == system and hash(twins) == hash(system)
+    for r, t in zip(system.rows, twins.rows):
+        assert r == t and hash(r) == hash(t)
+        assert r.sort_key() == t.sort_key()
+        assert r.render(system.var_names) == t.render(system.var_names)
+    assert twins.render() == system.render()
+    assert twins.to_json_dict() == system.to_json_dict()
+    assert json.dumps(twins.to_json_dict()) == json.dumps(system.to_json_dict())
+    assert sorted(twins.rows, key=Inequality.sort_key) == list(system.rows)
+    assert InequalitySystem.from_json_dict(system.to_json_dict()) == system

@@ -1,5 +1,6 @@
 """Wiretap-network cut tests with a brute-force cut enumeration oracle."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -166,3 +167,45 @@ def test_wn_flow_exits_2_when_a_flow_disagrees_with_its_cut(
     captured = capsys.readouterr()
     assert "flow disagrees" in captured.err
     assert captured.out == ""
+
+
+def random_rates(rng, length):
+    """Rates over large pairwise-coprime denominators, zeros included,
+    so the common scale runs past 64 bits."""
+    primes = [1_000_003, 998_244_353, 1_000_000_007, 2_147_483_647,
+              999_999_937, 4_294_967_291, 7, 1]
+    return tuple(F(rng.randrange(0, 5 * p), p) if rng.random() > 0.1
+                 else F(0) for p in rng.sample(primes, length))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integer_cuts_equal_rational_flows_at_coprime_rates(seed):
+    rng = random.Random(seed)
+    length = rng.randrange(2, 7)
+    wiretap = rng.randrange(0, length)
+    threshold = rng.randrange(wiretap + 1, length + 1)
+    net = WiretapNetwork(length, wiretap, threshold, random_rates(rng, length))
+    graph = net.build()   # Fraction capacities, every user as a sink
+    for u in net.users():
+        closed = sum((net.rates[l - 1] for l in u), F(0))
+        assert mincut_to_user(net, u) == closed
+        assert mincut_to_user(net, u, via_flow=True) == closed
+        flow = max_flow(graph, SOURCE, net.user_node(u))
+        assert flow == closed and (flow == 0 or type(flow) is F)
+    for a in net.wiretap_sets():
+        closed = sum((net.rates[l - 1] for l in a), F(0))
+        assert mincut_to_wiretap(net, a) == closed
+        assert mincut_to_wiretap(net, a, via_flow=True) == closed
+    for cut in (mincut_to_user(net, next(net.users())),
+                mincut_to_user(net, next(net.users()), via_flow=True)):
+        assert type(cut) is F
+
+
+def test_max_flow_takes_fraction_capacities_with_parallel_paths():
+    graph = {"s": {"a": F(1, 3), "b": F(2, 7)},
+             "a": {"b": F(1, 5), "t": F(1, 11)},
+             "b": {"t": None},
+             "t": {}}
+    # cut {s, a} | {b, t}: 2/7 + 1/5 + 1/11
+    assert max_flow(graph, "s", "t") == F(2, 7) + F(1, 5) + F(1, 11)
+    assert brute_min_cut(graph, "s", "t") == max_flow(graph, "s", "t")
